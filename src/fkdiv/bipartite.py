@@ -64,9 +64,6 @@ class BiconvexStructure:
     tail_right: tuple  # side-A vertices after a_right, ascending
     middle: tuple  # sorted vertices of the middle segment plus all of side B
 
-    def pos_a(self, v: int) -> int:
-        return self.order_a.index(v)
-
 
 def biconvex_structure(graph: Graph, order_a, order_b) -> BiconvexStructure:
     """Extract the tail/middle shape of a connected biconvex graph.

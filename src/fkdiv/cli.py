@@ -113,7 +113,7 @@ def run_solve(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             parsed = parse_instance(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     instance = parsed.instance
@@ -200,13 +200,13 @@ def run_verify(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             parsed = parse_instance(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         with open(args.report, encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read report {args.report}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -216,6 +216,13 @@ def run_verify(args) -> int:
         return 1
     print("ok")
     return EXIT_OK
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=10**8,
         help="node limit for brute force (default 1e8)",
     )

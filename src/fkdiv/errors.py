@@ -21,10 +21,6 @@ class NotCocomparabilityError(FkdivError):
     """The conflict graph's complement admits no transitive orientation."""
 
 
-class NotConnectedError(FkdivError):
-    pass
-
-
 class OrderingNotBiconvexError(FkdivError):
     pass
 
@@ -76,10 +72,6 @@ class ParseError(FkdivError):
 
 
 class DimensionMismatchError(ParseError):
-    pass
-
-
-class InvalidOrderingError(FkdivError):
     pass
 
 

@@ -1,11 +1,13 @@
 """Approximation wrapper around the exact solvers.
 
 Running any space-aware solver on a rounded space caps each class at
-O(log UB / eps) coexisting states while keeping true profiles alongside,
-so the reported value is always realizable and, for the ordered solver,
-at least the optimum divided by 1+eps. The accuracy parameter must
-arrive as an exact decimal string or Fraction; binary floats would
-silently change the grid.
+O(n * log UB / eps) grid indices, n items and UB its largest total,
+while keeping true profiles alongside, so the reported value is always
+realizable and, for the ordered solver, at least the optimum divided by
+1+eps. The accuracy parameter must arrive as an exact decimal string or
+Fraction; binary floats would silently change the grid. An accuracy
+whose grid would need more than MAX_INDEX_RANGE indices per class is
+refused with ParameterOutOfRangeError.
 """
 
 from __future__ import annotations

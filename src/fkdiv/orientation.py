@@ -150,13 +150,6 @@ def complement_orientation(graph: Graph) -> Orientation:
         raise NotCocomparabilityError(str(exc)) from exc
 
 
-def cocomparability_order(graph: Graph) -> tuple:
-    """Vertex order in which every independent set of `graph` lies on a
-    directed path of the oriented complement."""
-    orient = complement_orientation(graph)
-    return topological_sort(graph.n, orient.arcs)
-
-
 def is_cocomparability(graph: Graph) -> bool:
     try:
         transitive_orientation(graph.complement())

@@ -25,16 +25,6 @@ def satisfaction(profile) -> int:
     return min(profile)
 
 
-def shift(profile, cls: int, amount: int):
-    """Return `profile` with `amount` added at class `cls` (1-based)."""
-    if not (1 <= cls <= len(profile)):
-        raise ValueError(f"class {cls} out of range for k={len(profile)}")
-    if amount < 0:
-        raise ValueError("shift amount must be nonnegative")
-    j = cls - 1
-    return profile[:j] + (profile[j] + amount,) + profile[j + 1 :]
-
-
 def with_vertex(coloring, cls0: int, v: int):
     """Coloring with vertex v inserted into class cls0 (0-based)."""
     cur = coloring[cls0]
@@ -303,20 +293,12 @@ class ProfileSet:
             out.add(p, self.witness_for(p))
         return out
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(p) for p in self.profiles()]
-
 
 _ABSENT = object()
 
 
-def minkowski_merge(a: ProfileSet, b: ProfileSet) -> ProfileSet:
-    """Vector-sum merge: every profile of `a` plus every profile of `b`."""
-    return a.combine(b)
-
-
 def merge_components(sets) -> ProfileSet:
-    """Left-fold of minkowski_merge over per-component profile sets."""
+    """Left-fold of the vector-sum merge over per-component profile sets."""
     sets = list(sets)
     if not sets:
         raise EmptySetError("no component sets to merge")

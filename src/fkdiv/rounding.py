@@ -1,12 +1,16 @@
 """Geometric rounding of profits for the approximation mode.
 
-Class profits are tracked as indices into the grid 1, g, g^2, ... where
-g is the (number of items)-th root of one plus the accuracy parameter;
-each item added to a class costs at most one factor of g, so any class
-total degrades by at most 1+eps overall. All grid comparisons are exact:
-rational cases use Fractions, irrational ones use integer interval
-arithmetic at escalating precision, and equality across the two only
-happens in the rational cases, so the escalation always terminates.
+Class profits are tracked as indices into the grid 1, r, r^2, ... where
+r = num / 2^B is the largest dyadic rational with B fraction bits whose
+n-th power (n = number of items) is at most 1+eps. Each item added to a
+class costs at most one factor of r, so any class total degrades by at
+most r^n <= 1+eps overall, and class totals up to UB take one of
+U = O(n * log UB / eps) indices. Every grid decision is an integer
+comparison against a per-grid table of num^e: no float and no
+irrational number enters the index arithmetic.
+
+The table holds about B * U^2 / 2 bits, so a grid whose per-class index
+range would exceed MAX_INDEX_RANGE is refused before any power is built.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EmptySetError
+from .errors import EmptySetError, ParameterOutOfRangeError
 from .profiles import merge_colorings, with_vertex
 
 ZERO = -1  # grid index for an exact class total of zero
+B = 64  # fraction bits of the grid ratio r = num / 2^B
+MAX_INDEX_RANGE = 4096  # largest per-class index range; table <= 64 MB
 
 
 def nth_root_floor(x: int, r: int) -> int:
@@ -39,124 +45,8 @@ def nth_root_floor(x: int, r: int) -> int:
     return g
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-class EndpointComparator:
-    """Exact decisions of the form g^x <= g^s + p for integer p >= 0.
-
-    g is the real positive root of g^root = ratio. The ratio is first
-    reduced so that no prime divisor of the root degree leaves it a
-    perfect power; after that reduction g^e is rational only when the
-    degree divides e, and the mixed rational/irrational comparisons can
-    never be ties, so interval arithmetic over scaled integers settles
-    them at some finite precision.
-    """
-
-    def __init__(self, ratio: Fraction, root: int):
-        if ratio <= 1 or root < 1:
-            raise ValueError("ratio must exceed 1 and root must be positive")
-        a, b = ratio.numerator, ratio.denominator
-        degree = root
-        for p in sorted(set(_prime_factors(root))):
-            while degree % p == 0:
-                ra, rb = nth_root_floor(a, p), nth_root_floor(b, p)
-                if ra**p == a and rb**p == b:
-                    a, b, degree = ra, rb, degree // p
-                else:
-                    break
-        self.base = Fraction(a, b)
-        self.degree = degree
-        self._bounds_cache: dict = {}
-        self._memo: dict = {}
-
-    def _bounds(self, digits: int):
-        cached = self._bounds_cache.get(digits)
-        if cached is None:
-            scaled = (self.base.numerator * 10 ** (digits * self.degree)) // (
-                self.base.denominator
-            )
-            lo = nth_root_floor(scaled, self.degree)
-            cached = (lo, lo + 1)
-            self._bounds_cache[digits] = cached
-        return cached
-
-    @staticmethod
-    def _pow_interval(lo: int, hi: int, exp: int, scale: int):
-        """Rigorous scaled bounds on g^exp from scaled bounds on g.
-
-        Square-and-multiply over fixed-point integers, rounding the lower
-        track down and the upper track up, so the truth stays bracketed.
-        """
-        res_lo, res_hi = scale, scale
-        base_lo, base_hi = lo, hi
-        e = exp
-        while e:
-            if e & 1:
-                res_lo = res_lo * base_lo // scale
-                res_hi = -(res_hi * base_hi // -scale)
-            e >>= 1
-            if e:
-                base_lo = base_lo * base_lo // scale
-                base_hi = -(base_hi * base_hi // -scale)
-        return res_lo, res_hi
-
-    def le(self, x: int, s: int, p: int) -> bool:
-        """Whether g^x <= g^s + p."""
-        if x <= s or p == 0:
-            return x <= s
-        key = (x, s, p)
-        res = self._memo.get(key)
-        if res is not None:
-            return res
-        d = self.degree
-        if x % d == 0 and s % d == 0:
-            res = self.base ** (x // d) <= self.base ** (s // d) + p
-        else:
-            digits = 32
-            while True:
-                lo, hi = self._bounds(digits)
-                scale = 10**digits
-                x_lo, x_hi = self._pow_interval(lo, hi, x, scale)
-                s_lo, s_hi = self._pow_interval(lo, hi, s, scale)
-                if x_hi <= s_lo + p * scale:
-                    res = True
-                    break
-                if x_lo > s_hi + p * scale:
-                    res = False
-                    break
-                digits *= 2
-        self._memo[key] = res
-        return res
-
-
-# Comparator decisions and index arithmetic depend only on (ratio, n),
-# never on per-instance profit bounds, so equal-parameter grids share
-# one comparator and one set of memo tables.
-_shared_comparators: dict = {}
-_shared_grid_memos: dict = {}
-
-
-def shared_comparator(ratio: Fraction, root: int) -> EndpointComparator:
-    comp = _shared_comparators.get((ratio, root))
-    if comp is None:
-        comp = EndpointComparator(ratio, root)
-        _shared_comparators[(ratio, root)] = comp
-    return comp
-
-
 class RoundingGrid:
-    """Per-instance grid: index t stands for the value g^t, g^n = 1+eps."""
+    """Per-instance grid: index t stands for the value r^t, r^n <= 1+eps."""
 
     def __init__(self, eps: Fraction, n: int, upper_bounds):
         if eps <= 0:
@@ -166,67 +56,97 @@ class RoundingGrid:
         self.eps = eps
         self.n = n
         self.upper_bounds = tuple(upper_bounds)
-        self.ratio = Fraction(1) + eps
-        self.comparator = shared_comparator(self.ratio, n)
-        shared = _shared_grid_memos.get((self.ratio, n))
-        if shared is None:
-            shared = ({0: Fraction(1)}, {}, {}, {})
-            _shared_grid_memos[(self.ratio, n)] = shared
-        (
-            self._ratio_pow,
-            self._round_memo,
-            self._extend_memo,
-            self._ratio_nd_pow,
-        ) = shared
+        ratio = Fraction(1) + eps
+        self.num = nth_root_floor((ratio.numerator << B * n) // ratio.denominator, n)
+        self._refuse_wide_range()
+        self._powers = [1]  # num**e at position e, grown on demand
+        self._round_memo: dict = {}
+        self._extend_memo: dict = {}
         self.u = tuple(self._index_count(ub) for ub in self.upper_bounds)
+        if max(self.u, default=0) > MAX_INDEX_RANGE:
+            self._refuse(f"{max(self.u)} grid indices per class")
 
     @classmethod
     def for_instance(cls, instance, eps: Fraction) -> "RoundingGrid":
         ubs = [sum(row) for row in instance.profits]
         return cls(eps, max(1, instance.n), ubs)
 
-    def ratio_power(self, e: int) -> Fraction:
-        val = self._ratio_pow.get(e)
-        if val is None:
-            val = self.ratio**e
-            self._ratio_pow[e] = val
-        return val
+    def _refuse(self, need: str):
+        raise ParameterOutOfRangeError(
+            f"accuracy {self.eps} with {self.n} items needs {need};"
+            f" the limit is {MAX_INDEX_RANGE}, use a larger epsilon"
+        )
+
+    def _refuse_wide_range(self) -> None:
+        """Refuse a grid whose index range is plainly over the limit.
+
+        A float estimate of log(UB) / log(r) stands in for the exact range
+        here, only so that no power table is built for a hopeless grid; the
+        exact range is checked once it is known.
+        """
+        excess = self.num - (1 << B)
+        if excess == 0:
+            self._refuse("an unbounded grid, as its ratio rounds to 1")
+        if excess >> B:
+            log_r = math.log(self.num) - B * math.log(2)
+        else:
+            log_r = math.log1p(excess / (1 << B))
+        widest = math.log(max(self.upper_bounds + (1,))) / log_r
+        if widest > MAX_INDEX_RANGE + 1:
+            self._refuse(f"about {widest:.3g} grid indices per class")
+
+    def _power(self, e: int) -> int:
+        powers = self._powers
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.num)
+        return powers[e]
 
     def _index_count(self, ub: int) -> int:
-        """Smallest u >= 0 with g^u >= ub, via (1+eps)^u >= ub^n."""
+        """Smallest u >= 0 with r^u >= ub."""
         if ub <= 1:
             return 0
-        target = Fraction(ub) ** self.n
-        guess = max(0, math.ceil(self.n * math.log(ub) / math.log(float(self.ratio))))
-        while self.ratio_power(guess) < target:
-            guess += 1
-        while guess > 0 and self.ratio_power(guess - 1) >= target:
-            guess -= 1
-        return guess
+        t = self.round_down_value(ub)
+        return t if self._power(t) == ub << B * t else t + 1
 
     # -- index arithmetic --------------------------------------------------
 
+    def _floor(self, s: int, p: int) -> int:
+        """Largest tau >= s with r^tau <= r^s + p, for p >= 0.
+
+        r^x <= r^s + p is num^x <= (num^s + p * 2^(Bs)) * 2^(B(x-s)).
+        The search gallops up from s and then bisects. A probe never
+        passes the top of the power table by more than one, so the
+        table only grows one power at a time, up to tau + 1.
+        """
+        scaled = self._power(s) + (p << B * s)
+
+        def le(x):
+            return self._power(x) <= scaled << B * (x - s)
+
+        lo, step = s, 1
+        while True:
+            hi = min(lo + step, len(self._powers))
+            if not le(hi):
+                break
+            lo, step = hi, step * 2
+        while lo < hi - 1:
+            mid = (lo + hi) // 2
+            if le(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     def round_down_value(self, v: int) -> int:
-        """Largest index t with g^t <= v; ZERO when v is 0."""
+        """Largest index t with r^t <= v; ZERO when v is 0."""
         if v < 0:
             raise ValueError("values are nonnegative")
         if v == 0:
             return ZERO
         t = self._round_memo.get(v)
-        if t is not None:
-            return t
-        target = Fraction(v) ** self.n
-        lo, hi = 0, 1
-        while self.ratio_power(hi) <= target:
-            lo, hi = hi, hi * 2
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if self.ratio_power(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        self._round_memo[v] = lo
-        return lo
+        if t is None:
+            t = self._round_memo[v] = self._floor(0, v - 1)
+        return t
 
     def round_profile(self, true_profile) -> tuple:
         return tuple(self.round_down_value(q) for q in true_profile)
@@ -234,58 +154,35 @@ class RoundingGrid:
     def extend(self, t: int, p: int) -> int:
         """Index after adding true profit p to a class at index t.
 
-        Largest tau with g^tau <= g^t + p; a fresh class rounds p itself
-        down. Each call loses at most one factor of g against the truth.
+        Largest tau with r^tau <= r^t + p; a fresh class rounds p itself
+        down. Each call loses at most one factor of r against the truth.
         """
         if p == 0:
             return t
         if t == ZERO:
             return self.round_down_value(p)
-        key = (t, p)
-        res = self._extend_memo.get(key)
-        if res is not None:
-            return res
-        le = self.comparator.le
-        lo, step = t, 1
-        while le(lo + step, t, p):
-            lo += step
-            step *= 2
-        hi = lo + step
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if le(mid, t, p):
-                lo = mid
-            else:
-                hi = mid
-        self._extend_memo[key] = lo
-        return lo
+        tau = self._extend_memo.get((t, p))
+        if tau is None:
+            tau = self._extend_memo[t, p] = self._floor(t, p)
+        return tau
 
     # -- exact value/endpoint comparisons (instrumentation) ---------------
 
-    def _ratio_int_pow(self, e: int):
-        cached = self._ratio_nd_pow.get(e)
-        if cached is None:
-            cached = (self.ratio.numerator**e, self.ratio.denominator**e)
-            self._ratio_nd_pow[e] = cached
-        return cached
-
     def value_le_endpoint(self, q: int, e: int) -> bool:
-        """Whether q <= g^e, exactly: q^n * b^e <= a^e for ratio a/b."""
+        """Whether q <= r^e, exactly: q * 2^(Be) <= num^e."""
         if q <= 0:
             return True
         if e < 0:
             return False
-        num, den = self._ratio_int_pow(e)
-        return q**self.n * den <= num
+        return q << B * e <= self._power(e)
 
     def endpoint_le_value(self, e: int, q: int) -> bool:
-        """Whether g^e <= q, exactly."""
+        """Whether r^e <= q, exactly."""
         if e < 0:
             return q >= 0
         if q <= 0:
             return False
-        num, den = self._ratio_int_pow(e)
-        return num <= q**self.n * den
+        return self._power(e) <= q << B * e
 
 
 def _better(new_true, new_witness, old_true, old_witness) -> bool:
@@ -328,9 +225,6 @@ class RoundedStateSet:
         for key in sorted(self._map):
             true, w = self._map[key]
             yield key, true, w
-
-    def keys(self):
-        return self._map.keys()
 
     def insert(self, key, true, witness) -> None:
         cur = self._map.get(key)

@@ -349,3 +349,46 @@ def test_cli_gen_rejects_bad_parameters(tmp_path):
         "--out", str(tmp_path / "x.fk"),
     )
     assert res.returncode == 2
+
+
+def test_cli_tiny_epsilon_exits_2(tmp_path):
+    inst = tmp_path / "perm.fk"
+    gen = run_cli(
+        "gen", "--family", "permutation", "--n", "8", "--k", "2",
+        "--max-profit", "10", "--seed", "0", "--out", str(inst),
+    )
+    assert gen.returncode == 0
+    res = run_cli("solve", "--input", str(inst), "--epsilon", "1e-8", timeout=10)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_cli_solve_non_utf8_input_exit_2(tmp_path):
+    inst = tmp_path / "bad.fk"
+    inst.write_bytes(GOOD.encode() + b"c \xff\n")
+    res = run_cli("solve", "--input", str(inst))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_cli_verify_non_utf8_files_exit_2(tmp_path):
+    good, bad = tmp_path / "ok.fk", tmp_path / "bad.fk"
+    good.write_text(GOOD)
+    bad.write_bytes(b"\xff" + GOOD.encode())
+    report = tmp_path / "report.json"
+    assert run_cli("solve", "--input", str(good), "--report", str(report)).returncode == 0
+    bad_report = tmp_path / "bad.json"
+    bad_report.write_bytes(b"\xff" + report.read_bytes())
+    for inst, rep in ((bad, report), (good, bad_report)):
+        res = run_cli("verify", "--input", str(inst), "--report", str(rep))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_cli_negative_budget_exit_2(tmp_path):
+    inst = tmp_path / "ok.fk"
+    inst.write_text(GOOD)
+    res = run_cli("solve", "--input", str(inst), "--budget", "-5")
+    assert res.returncode == 2
+    assert "--budget" in res.stderr and "Traceback" not in res.stderr

@@ -12,10 +12,8 @@ from fkdiv.profiles import (
     ProfileSpace,
     check_coloring,
     merge_components,
-    minkowski_merge,
     profile_of,
     satisfaction,
-    shift,
     with_vertex,
 )
 
@@ -30,11 +28,6 @@ def filled(k, qbound, profiles, track_witnesses=False):
 def test_satisfaction_examples():
     assert satisfaction((0, 5)) == 0
     assert satisfaction((7,)) == 7
-
-
-def test_shift_examples():
-    assert shift((0, 0), 2, 5) == (0, 5)
-    assert shift((3, 1), 1, 4) == (7, 1)
 
 
 def test_with_vertex_keeps_sorted():
@@ -55,7 +48,7 @@ def test_profile_of_and_check():
 def test_minkowski_merge_example():
     a = filled(2, 9, [(1, 0), (0, 1)])
     b = filled(2, 9, [(2, 0), (0, 2)])
-    merged = minkowski_merge(a, b)
+    merged = a.combine(b)
     assert set(merged.profiles()) == {(3, 0), (1, 2), (2, 1), (0, 3)}
 
 

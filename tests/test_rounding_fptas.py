@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import random_instance
 from fkdiv.cocomp import solve_cocomparability
+from fkdiv.errors import ParameterOutOfRangeError
 from fkdiv.fptas import paired_rounding_check, parse_epsilon, solve_approx
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import is_cocomparability
 from fkdiv.profiles import check_coloring, profile_of
 from fkdiv.rounding import (
+    B,
+    MAX_INDEX_RANGE,
     ZERO,
-    EndpointComparator,
     RoundedProfileSpace,
     RoundingGrid,
     nth_root_floor,
@@ -46,31 +48,20 @@ def test_parse_epsilon():
         parse_epsilon("nonsense")
 
 
-def test_comparator_reduces_perfect_powers():
-    comp = EndpointComparator(Fraction(4), 2)
-    assert comp.base == Fraction(2)
-    assert comp.degree == 1
-    comp2 = EndpointComparator(Fraction(11, 10), 8)
-    assert comp2.degree == 8
+def ratio_of(grid):
+    """The grid ratio r as an independent exact reference."""
+    return Fraction(grid.num, 2**B)
 
 
-def test_comparator_rational_ties_are_exact():
-    # ratio 2, root 1: g = 2, so g^2 <= g^0 + 3 is the tie 4 <= 4
-    comp = EndpointComparator(Fraction(2), 1)
-    assert comp.le(2, 0, 3)
-    assert not comp.le(2, 0, 2)
-
-
-def test_comparator_agrees_with_float_estimates():
-    comp = EndpointComparator(Fraction(3, 2), 4)
-    g = 1.5 ** 0.25
-    for x in range(0, 40):
-        for s in range(0, x):
-            for p in (1, 2, 7):
-                got = comp.le(x, s, p)
-                approx = g**x <= g**s + p
-                if abs(g**x - (g**s + p)) > 1e-6:
-                    assert got == approx
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6),
+    st.integers(min_value=1, max_value=60),
+)
+def test_ratio_is_largest_dyadic_below_root(eps, n):
+    num = RoundingGrid(eps, n, (1,)).num
+    assert num > 2**B
+    assert num**n <= (1 + eps) * 2 ** (B * n) < (num + 1) ** n
 
 
 def test_grid_value_one_maps_to_index_zero():
@@ -88,28 +79,48 @@ def test_grid_zero_sentinel():
 
 def test_round_down_value_brackets_truth():
     grid = RoundingGrid(Fraction(1, 10), 6, (60,))
+    r = ratio_of(grid)
     for v in range(1, 61):
         t = grid.round_down_value(v)
+        assert r**t <= v < r ** (t + 1)
         assert grid.endpoint_le_value(t, v)
         assert not grid.endpoint_le_value(t + 1, v)
 
 
 def test_extend_brackets_truth():
     grid = RoundingGrid(Fraction(1, 3), 5, (40,))
+    r = ratio_of(grid)
     for t in (0, 3, 11, 20):
         for p in (1, 2, 9):
             tau = grid.extend(t, p)
-            # g^tau <= g^t + p < g^(tau+1)
-            assert grid.comparator.le(tau, t, p)
-            assert not grid.comparator.le(tau + 1, t, p)
+            assert r**tau <= r**t + p < r ** (tau + 1)
 
 
 def test_index_count_covers_upper_bound():
-    grid = RoundingGrid(Fraction(1, 2), 4, (37,))
-    u = grid.u[0]
-    assert grid.endpoint_le_value(u, 37) or grid.value_le_endpoint(37, u)
-    assert grid.ratio_power(u) >= Fraction(37) ** 4
-    assert grid.ratio_power(u - 1) < Fraction(37) ** 4
+    for eps, n, ub in ((Fraction(1, 2), 4, 37), (Fraction(1), 1, 8), (Fraction(2), 3, 500)):
+        grid = RoundingGrid(eps, n, (ub,))
+        r = ratio_of(grid)
+        u = grid.u[0]
+        assert r ** (u - 1) < ub <= r**u
+        assert grid.value_le_endpoint(ub, u)
+
+
+def test_grid_refuses_index_range_over_the_limit():
+    with pytest.raises(ParameterOutOfRangeError):
+        RoundingGrid(Fraction(1, 10**8), 8, (80,))
+    # r = num / 2^B rounds to 1 here, so no index range is finite.
+    with pytest.raises(ParameterOutOfRangeError):
+        RoundingGrid(Fraction(1, 2**70), 3, (1,))
+    inst = Instance(Graph(2, []), ((3, 4), (2, 2)))
+    with pytest.raises(ParameterOutOfRangeError):
+        solve_approx(inst, Fraction(1, 2**70))
+
+
+def test_grid_index_range_limit_is_exact():
+    # eps 0.1 over 40 items: r^4096 lies in [17322, 17323)
+    assert RoundingGrid(Fraction(1, 10), 40, (218, 17322)).u == (2260, MAX_INDEX_RANGE)
+    with pytest.raises(ParameterOutOfRangeError):
+        RoundingGrid(Fraction(1, 10), 40, (17323,))
 
 
 def test_rounded_space_zero_state():
