@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 from . import generators, oracle
 from .biconvex import solve_biconvex
 from .cocomp import solve_cocomparability
-from .decomposition import minfill_decomposition
+from .decomposition import chordal_peo, minfill_decomposition
+from .decomposition import is_chordal  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -30,7 +32,6 @@ from .errors import (
     UnknownFamilyError,
 )
 from .fptas import parse_epsilon, solve_approx
-from .decomposition import is_chordal
 from .instance_io import (
     ParsedInstance,
     build_report,
@@ -41,8 +42,9 @@ from .instance_io import (
     serialize_instance,
     validate_report,
 )
-from .orientation import is_cocomparability
-from .treedp import solve_chordal, solve_on_decomposition, solve_treewidth
+from .orientation import complement_orientation
+from .orientation import is_cocomparability  # noqa: F401  (perfbench/tracer.py wraps it here)
+from .treedp import solve_chordal, solve_treewidth
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,49 +63,46 @@ _APPLICABILITY_ERRORS = (
 )
 
 
-def _solver_for(name: str, parsed: ParsedInstance):
-    """Callable with the shared (instance, space=..., ...) signature."""
-    if name == "cocomp":
-        return solve_cocomparability
-    if name == "chordal":
-        return solve_chordal
-    if name == "biconvex":
-        if parsed.order_a is None:
+def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_bruteforce: bool):
+    """(algorithm, solver) for `algo`: "auto" or a forced algorithm name.
+
+    Each recognizer runs at most once, and the PEO, orientation or tree
+    decomposition it returns is bound into the solver, a callable with the
+    shared (instance, space=..., ...) signature. A forced algorithm runs
+    only its own recognizer and lets its failure propagate."""
+    graph, k = parsed.graph, parsed.instance.k
+    auto = algo == "auto"
+    if auto or algo == "chordal":
+        try:
+            return "chordal", partial(solve_chordal, peo=chordal_peo(graph))
+        except NotChordalError:
+            if not auto:
+                raise
+    if auto or algo == "cocomp":
+        try:
+            orientation = complement_orientation(graph)
+            return "cocomp", partial(solve_cocomparability, orientation=orientation)
+        except NotCocomparabilityError:
+            if not auto:
+                raise
+    if auto or algo == "biconvex":
+        if parsed.order_a is not None:
+            return "biconvex", partial(
+                solve_biconvex, order_a=parsed.order_a, order_b=parsed.order_b
+            )
+        if not auto:
             raise NoApplicableAlgorithmError(
                 "biconvex solver needs 'o A'/'o B' ordering lines"
             )
-
-        def run(instance, **kw):
-            return solve_biconvex(instance, parsed.order_a, parsed.order_b, **kw)
-
-        return run
-    if name == "treewidth":
+    if auto or algo == "treewidth":
         if parsed.decomposition is not None:
-            td = parsed.decomposition
-
-            def run(instance, **kw):
-                return solve_on_decomposition(instance, td, **kw)
-
-            return run
-        return solve_treewidth
-    raise NoApplicableAlgorithmError(f"unknown algorithm {name!r}")
-
-
-def _auto_algorithm(parsed: ParsedInstance, k: int, budget: int, allow_bruteforce: bool) -> str:
-    graph = parsed.graph
-    if is_chordal(graph):
-        return "chordal"
-    if is_cocomparability(graph):
-        return "cocomp"
-    if parsed.order_a is not None:
-        return "biconvex"
-    if parsed.decomposition is not None:
-        return "treewidth"
-    td = minfill_decomposition(graph)
-    if (k + 1) ** (td.width + 1) <= MINFILL_CELL_LIMIT:
-        return "treewidth"
-    if allow_bruteforce and (k + 1) ** graph.n <= budget:
-        return "bruteforce"
+            return "treewidth", partial(solve_treewidth, td=parsed.decomposition)
+        # minfill_decomposition verifies what it builds.
+        td = minfill_decomposition(graph)
+        if not auto or (k + 1) ** (td.width + 1) <= MINFILL_CELL_LIMIT:
+            return "treewidth", partial(solve_treewidth, td=td, verify=False)
+    if algo == "bruteforce" or (allow_bruteforce and (k + 1) ** graph.n <= budget):
+        return "bruteforce", partial(oracle.brute_force, budget=budget)
     raise NoApplicableAlgorithmError(
         "instance fits no structured solver; brute force would exceed the budget"
     )
@@ -117,7 +116,7 @@ def run_solve(args) -> int:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     instance = parsed.instance
-    n, k = instance.n, instance.k
+    n = instance.n
 
     if args.epsilon is not None and args.emit_profiles:
         print("error: --emit-profiles needs exact profiles, drop --epsilon", file=sys.stderr)
@@ -134,20 +133,17 @@ def run_solve(args) -> int:
 
     prune = not args.no_prune and not args.emit_profiles
     started = time.perf_counter()
-    algo = args.algo
-    if algo == "auto":
-        algo = _auto_algorithm(
-            parsed, k, args.budget, allow_bruteforce=args.epsilon is None
-        )
+    algo, solver = _auto_algorithm(
+        parsed, args.algo, args.budget, allow_bruteforce=args.epsilon is None
+    )
 
     emit_profiles = None
     if args.epsilon is not None:
-        solver = _solver_for(algo, parsed)
         result = solve_approx(instance, args.epsilon, solver=solver)
         value, profile, witness = result.value, result.profile, result.witness
         profile_count = None
     elif algo == "bruteforce":
-        result = oracle.brute_force(instance, budget=args.budget)
+        result = solver(instance)
         value, witness = result.optimum, result.witness
         from .profiles import profile_of
 
@@ -155,7 +151,6 @@ def run_solve(args) -> int:
         profile_count = len(result.profiles)
         emit_profiles = sorted(result.profiles)
     else:
-        solver = _solver_for(algo, parsed)
         pset = solver(instance, witnesses=True, prune=prune)
         value, profile, witness = pset.best()
         profile_count = None if prune else len(pset)

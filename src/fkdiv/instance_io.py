@@ -297,10 +297,17 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_report(report: dict, parsed: ParsedInstance) -> None:
     """Raise ValueError unless the report is internally consistent with
     the instance: well-formed keys, a valid coloring, and value/profile
     recomputable from it."""
+    if not isinstance(report, dict):
+        raise ValueError(f"report must be a JSON object, got {type(report).__name__}")
     if list(report.keys()) != list(REPORT_KEYS):
         raise ValueError(
             f"report keys must be {list(REPORT_KEYS)}, got {list(report.keys())}"
@@ -310,7 +317,7 @@ def validate_report(report: dict, parsed: ParsedInstance) -> None:
     arr = report["coloring"]
     if not isinstance(arr, list) or len(arr) != n:
         raise ValueError(f"coloring must list all {n} vertices")
-    if any(not isinstance(c, int) or not (0 <= c <= k) for c in arr):
+    if any(not _is_int(c) or not (0 <= c <= k) for c in arr):
         raise ValueError(f"coloring entries must be integers in 0..{k}")
     witness = witness_from_array(arr, k)
     try:
@@ -318,11 +325,11 @@ def validate_report(report: dict, parsed: ParsedInstance) -> None:
     except ValueError as exc:
         raise ValueError(f"coloring is infeasible: {exc}") from None
     profile = profile_of(inst, witness)
-    if list(profile) != report["profile"]:
+    if list(profile) != report["profile"] or not all(map(_is_int, report["profile"])):
         raise ValueError(
             f"profile {report['profile']} does not match coloring, expected {list(profile)}"
         )
-    if report["value"] != min(profile):
+    if not _is_int(report["value"]) or report["value"] != min(profile):
         raise ValueError(
             f"value {report['value']} does not match profile minimum {min(profile)}"
         )
@@ -331,10 +338,10 @@ def validate_report(report: dict, parsed: ParsedInstance) -> None:
     eps = report["epsilon"]
     if eps is not None and not isinstance(eps, str):
         raise ValueError("epsilon must be null or a string")
-    if not isinstance(report["elapsedMillis"], int) or report["elapsedMillis"] < 0:
+    if not _is_int(report["elapsedMillis"]) or report["elapsedMillis"] < 0:
         raise ValueError("elapsedMillis must be a nonnegative integer")
     pc = report["profileCount"]
-    if pc is not None and (not isinstance(pc, int) or pc < 1):
+    if pc is not None and (not _is_int(pc) or pc < 1):
         raise ValueError("profileCount must be null or a positive integer")
 
 

@@ -136,31 +136,39 @@ def decide_satisfaction_at_least(
             suffix[j][v] = suffix[j][v + 1] + row[v]
     class_mask = [0] * k
     cur = [0] * k
-
-    def rec(v: int) -> bool:
-        nonlocal visited
+    # One frame [v, pending, next choice, class holding v] per open node,
+    # in the recursive search's visit order; a node's last branch (leave
+    # v uncolored) replaces its frame instead of nesting under it.
+    stack: list = []
+    v = 0
+    while True:
         visited += 1
         if visited > budget:
             raise BudgetExceededError(f"search visited more than {budget} nodes")
         pending = [j for j in range(k) if cur[j] < q]
         if not pending:
             return True
-        if v == n:
+        if v < n and all(cur[j] + suffix[j][v] >= q for j in pending):
+            stack.append([v, pending, 0, None])
+        if not stack:
             return False
-        if any(cur[j] + suffix[j][v] < q for j in pending):
-            return False
-        bit = 1 << v
-        for j in pending:
-            if class_mask[j] & masks[v] or profits[j][v] == 0:
+        # The innermost frame undoes the branch that just ended (if any)
+        # and descends into its next one.
+        frame = stack[-1]
+        u, pending, i, held = frame
+        if held is not None:
+            class_mask[held] &= ~(1 << u)
+            cur[held] -= profits[held][u]
+            frame[3] = None
+        while i < len(pending):
+            j = pending[i]
+            i += 1
+            if class_mask[j] & masks[u] or profits[j][u] == 0:
                 continue
-            class_mask[j] |= bit
-            cur[j] += profits[j][v]
-            if rec(v + 1):
-                class_mask[j] &= ~bit
-                cur[j] -= profits[j][v]
-                return True
-            class_mask[j] &= ~bit
-            cur[j] -= profits[j][v]
-        return rec(v + 1)
-
-    return rec(0)
+            class_mask[j] |= 1 << u
+            cur[j] += profits[j][u]
+            frame[2], frame[3] = i, j
+            break
+        else:
+            stack.pop()
+        v = u + 1

@@ -206,12 +206,11 @@ class RoundedStateSet:
     coexist.
     """
 
-    __slots__ = ("k", "grid", "track_witnesses", "_map")
+    __slots__ = ("k", "grid", "_map")
 
-    def __init__(self, k: int, grid: RoundingGrid, track_witnesses: bool = True):
+    def __init__(self, k: int, grid: RoundingGrid):
         self.k = k
         self.grid = grid
-        self.track_witnesses = track_witnesses
         self._map: dict = {}
 
     def __len__(self) -> int:
@@ -236,7 +235,7 @@ class RoundedStateSet:
             self.insert(key, true, w)
 
     def extended(self, cls0: int, amount: int, vertex=None) -> "RoundedStateSet":
-        out = RoundedStateSet(self.k, self.grid, self.track_witnesses)
+        out = RoundedStateSet(self.k, self.grid)
         extend = self.grid.extend
         for key, (true, w) in self._map.items():
             nk = key[:cls0] + (extend(key[cls0], amount),) + key[cls0 + 1 :]
@@ -251,7 +250,7 @@ class RoundedStateSet:
         """Pairwise merge; true profiles add (minus the shared base) and
         the key is re-rounded from the merged truth."""
         base = tuple(minus) if minus is not None else (0,) * self.k
-        out = RoundedStateSet(self.k, self.grid, self.track_witnesses)
+        out = RoundedStateSet(self.k, self.grid)
         for _k1, t1, w1 in self.items():
             for _k2, t2, w2 in other.items():
                 true = tuple(a + b - c for a, b, c in zip(t1, t2, base))
@@ -262,7 +261,7 @@ class RoundedStateSet:
         return out
 
     def remapped(self, mapping) -> "RoundedStateSet":
-        out = RoundedStateSet(self.k, self.grid, self.track_witnesses)
+        out = RoundedStateSet(self.k, self.grid)
         for key, (true, w) in self._map.items():
             nw = w
             if w is not None:
@@ -271,7 +270,7 @@ class RoundedStateSet:
         return out
 
     def map_witnesses(self, fn) -> "RoundedStateSet":
-        out = RoundedStateSet(self.k, self.grid, self.track_witnesses)
+        out = RoundedStateSet(self.k, self.grid)
         for key, (true, w) in self._map.items():
             out._map[key] = (true, fn(w) if w is not None else None)
         return out
@@ -291,23 +290,19 @@ class RoundedStateSet:
 class RoundedProfileSpace:
     """Space protocol adapter so exact solvers run unchanged on the grid."""
 
-    def __init__(self, k: int, grid: RoundingGrid, track_witnesses: bool = True):
+    track_witnesses = True
+
+    def __init__(self, k: int, grid: RoundingGrid):
         self.k = k
         self.grid = grid
-        self.track_witnesses = track_witnesses
         self.prune = False
 
-    @classmethod
-    def for_instance(cls, instance, eps: Fraction) -> "RoundedProfileSpace":
-        return cls(instance.k, RoundingGrid.for_instance(instance, eps))
-
     def empty(self) -> RoundedStateSet:
-        return RoundedStateSet(self.k, self.grid, self.track_witnesses)
+        return RoundedStateSet(self.k, self.grid)
 
     def zero(self) -> RoundedStateSet:
         s = self.empty()
-        witness = ((),) * self.k if self.track_witnesses else None
-        s.insert((ZERO,) * self.k, (0,) * self.k, witness)
+        s.insert((ZERO,) * self.k, (0,) * self.k, ((),) * self.k)
         return s
 
     def finalize(self, state_set):

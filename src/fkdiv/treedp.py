@@ -120,12 +120,15 @@ def solve_on_decomposition(
 def solve_chordal(
     instance: Instance,
     *,
+    peo=None,
     space=None,
     witnesses: bool = False,
     prune: bool = False,
 ):
-    """Profile set via a clique tree; NotChordalError if inapplicable."""
-    peo = chordal_peo(instance.graph)
+    """Profile set via a clique tree over `peo`, a perfect elimination
+    ordering found here if omitted; NotChordalError if inapplicable."""
+    if peo is None:
+        peo = chordal_peo(instance.graph)
     td = clique_tree(instance.graph, peo)
     return solve_on_decomposition(
         instance, td, space=space, witnesses=witnesses, prune=prune, verify=False
@@ -136,16 +139,15 @@ def solve_treewidth(
     instance: Instance,
     *,
     td: TreeDecomposition | None = None,
+    verify: bool = True,
     space=None,
     witnesses: bool = False,
     prune: bool = False,
 ):
-    """Profile set over a supplied or heuristically built decomposition."""
+    """Profile set over a supplied or min-fill decomposition; `verify`
+    applies to a supplied `td`, a min-fill one is verified when built."""
     if td is None:
-        td = minfill_decomposition(instance.graph)
-        verify = False
-    else:
-        verify = True
+        td, verify = minfill_decomposition(instance.graph), False
     return solve_on_decomposition(
         instance, td, space=space, witnesses=witnesses, prune=prune, verify=verify
     )

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fkdiv import cli, decomposition, orientation, treedp
 from fkdiv.errors import DimensionMismatchError, ParseError
 from fkdiv.generators import build_family
 from fkdiv.instance_io import (
@@ -186,6 +187,25 @@ def test_validate_report_rejects_bad_shapes():
         validate_report(bad_count, parsed)
 
 
+def test_validate_report_rejects_non_objects_and_booleans():
+    for bad in ([], None, "report", 3):
+        with pytest.raises(ValueError, match="JSON object"):
+            validate_report(bad, parse_instance(GOOD))
+    # One class over an edgeless pair: coloring [1, 0], profile [1], value 1.
+    parsed = parse_instance("p fkdiv 2 0 1\nw 1 1 0\n")
+    base = {**good_report(parsed), "profileCount": 1}
+    validate_report(base, parsed)
+    for key, flag in (
+        ("coloring", [True, False]),
+        ("profile", [True]),
+        ("value", True),
+        ("elapsedMillis", False),
+        ("profileCount", True),
+    ):
+        with pytest.raises(ValueError, match=key):
+            validate_report({**base, key: flag}, parsed)
+
+
 def test_cli_gen_solve_verify_round_trip(tmp_path):
     inst_file = tmp_path / "inst.fk"
     report_file = tmp_path / "report.json"
@@ -229,6 +249,24 @@ def test_cli_verify_catches_tampering(tmp_path):
     )
     assert verify.returncode == 1
     assert verify.stdout.startswith("invalid:")
+
+
+def test_cli_verify_rejects_non_object_and_boolean_reports(tmp_path):
+    inst_file = tmp_path / "inst.fk"
+    report_file = tmp_path / "report.json"
+    inst_file.write_text("p fkdiv 3 1 1\ne 1 2\nw 1 1 1 0\n")
+    solve = run_cli("solve", "--input", str(inst_file), "--report", str(report_file))
+    assert solve.returncode == 0
+    report = json.loads(report_file.read_text())
+    assert report["algorithm"] == "chordal" and set(report["coloring"]) == {0, 1}
+    report["coloring"] = [bool(c) for c in report["coloring"]]
+    report["elapsedMillis"] = False
+    for payload in ([], report):
+        report_file.write_text(json.dumps(payload))
+        res = run_cli("verify", "--input", str(inst_file), "--report", str(report_file))
+        assert res.returncode == 1
+        assert res.stdout.startswith("invalid:") and res.stdout.count("\n") == 1
+        assert res.stderr == ""
 
 
 def test_cli_input_errors_exit_2(tmp_path):
@@ -392,3 +430,73 @@ def test_cli_negative_budget_exit_2(tmp_path):
     res = run_cli("solve", "--input", str(inst), "--budget", "-5")
     assert res.returncode == 2
     assert "--budget" in res.stderr and "Traceback" not in res.stderr
+
+
+def write_family(tmp_path, family, n, seed):
+    path = tmp_path / f"{family}-{n}-{seed}.fk"
+    path.write_text(serialize_instance(build_family(family, n, 2, 5, seed)))
+    return path
+
+
+def solve_in_process(capsys, path, *args):
+    code = cli.main(["solve", "--input", str(path), "--no-timing", *args])
+    return code, capsys.readouterr().out
+
+
+# (family, n, seed, algorithm auto picks, recognizer runs in one solve).
+# MCS runs on every instance: the chordal check comes first.
+PLANNER_CASES = [
+    ("permutation", 10, 0, "cocomp", {"mcs": 1, "orientation": 1, "minfill": 0}),
+    ("interval", 10, 0, "chordal", {"mcs": 1, "orientation": 0, "minfill": 0}),
+    ("random", 12, 3, "treewidth", {"mcs": 1, "orientation": 1, "minfill": 1}),
+]
+
+
+@pytest.mark.parametrize("family,n,seed,algo,runs", PLANNER_CASES)
+def test_cli_auto_recognizes_each_structure_once(
+    tmp_path, capsys, monkeypatch, family, n, seed, algo, runs
+):
+    calls = dict.fromkeys(runs, 0)
+
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    count(decomposition, "mcs_order", "mcs")
+    count(orientation, "transitive_orientation", "orientation")
+    count(cli, "minfill_decomposition", "minfill")
+    count(treedp, "minfill_decomposition", "minfill")
+    code, out = solve_in_process(capsys, write_family(tmp_path, family, n, seed))
+    assert code == 0
+    assert json.loads(out)["algorithm"] == algo
+    assert calls == runs
+
+
+@pytest.mark.parametrize(
+    "family,n,seed,algo,extra",
+    [case[:4] + ((),) for case in PLANNER_CASES]
+    + [("permutation", 10, 0, "cocomp", ("--epsilon", "1/2"))],
+)
+def test_cli_auto_report_equals_forced_algorithm(
+    tmp_path, capsys, family, n, seed, algo, extra
+):
+    path = write_family(tmp_path, family, n, seed)
+    auto = solve_in_process(capsys, path, *extra)
+    forced = solve_in_process(capsys, path, "--algo", algo, *extra)
+    assert auto[0] == 0 and json.loads(auto[1])["algorithm"] == algo
+    assert auto == forced
+
+
+def test_cli_forced_treewidth_ignores_the_cell_limit(tmp_path, capsys):
+    # Dense random n=16: min-fill width 12, so 3^13 bag colorings exceed the limit.
+    path = write_family(tmp_path, "random", 16, 2)
+    code, out = solve_in_process(capsys, path, "--budget", "1000")
+    assert code == 3 and out == ""
+    code, out = solve_in_process(capsys, path, "--budget", "1000", "--algo", "treewidth")
+    assert code == 0
+    assert json.loads(out)["algorithm"] == "treewidth"

@@ -78,6 +78,15 @@ def test_decide_trivial_and_budget():
     assert not decide_satisfaction_at_least(big, 10)
 
 
+def test_decide_deep_search_is_iterative():
+    # q equals the total profit, so the search must take all 3000 items
+    # and visits one node per depth, 3001 in all.
+    inst = Instance(Graph(3000, []), ((1,) * 3000,))
+    assert decide_satisfaction_at_least(inst, 3000, budget=3001)
+    with pytest.raises(BudgetExceededError):
+        decide_satisfaction_at_least(inst, 3000, budget=3000)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_decide_matches_brute_force(data):

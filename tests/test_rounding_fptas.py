@@ -125,7 +125,7 @@ def test_grid_index_range_limit_is_exact():
 
 def test_rounded_space_zero_state():
     inst = Instance(Graph(2, []), ((3, 4), (2, 2)))
-    space = RoundedProfileSpace.for_instance(inst, Fraction(1, 2))
+    space = RoundedProfileSpace(inst.k, RoundingGrid.for_instance(inst, Fraction(1, 2)))
     z = space.zero()
     items = list(z.items())
     assert items == [((ZERO, ZERO), (0, 0), ((), ()))]
