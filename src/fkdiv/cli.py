@@ -97,9 +97,14 @@ def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_brutef
     if auto or algo == "treewidth":
         if parsed.decomposition is not None:
             return "treewidth", partial(solve_treewidth, td=parsed.decomposition)
-        # minfill_decomposition verifies what it builds.
-        td = minfill_decomposition(graph)
-        if not auto or (k + 1) ** (td.width + 1) <= MINFILL_CELL_LIMIT:
+        # minfill_decomposition verifies what it builds. Under auto it
+        # gives up once a bag passes the largest b with (k+1)^b colorings
+        # within the limit (b < the limit's bit length, as k >= 1).
+        max_bag = max(
+            b for b in range(MINFILL_CELL_LIMIT.bit_length()) if (k + 1) ** b <= MINFILL_CELL_LIMIT
+        )
+        td = minfill_decomposition(graph, max_bag=max_bag if auto else None)
+        if td is not None:
             return "treewidth", partial(solve_treewidth, td=td, verify=False)
     if algo == "bruteforce" or (allow_bruteforce and (k + 1) ** graph.n <= budget):
         return "bruteforce", partial(oracle.brute_force, budget=budget)

@@ -232,7 +232,25 @@ def clique_tree(graph: Graph, peo=None) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(cliques), edges=tuple(edges))
 
 
-def minfill_decomposition(graph: Graph) -> TreeDecomposition:
+def _min_fill_vertex(live: list, alive: set) -> tuple:
+    """(v, v's alive neighbors) for the alive vertex whose elimination
+    adds the fewest fill edges, lowest id on ties."""
+    best = None
+    for v in sorted(alive):
+        nbrs = [u for u in live[v] if u in alive]
+        fill = 0
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if b not in live[a]:
+                    fill += 1
+        if best is None or fill < best[0]:
+            best = (fill, v, nbrs)
+    return best[1:]
+
+
+def minfill_decomposition(
+    graph: Graph, max_bag: int | None = None
+) -> TreeDecomposition | None:
     """Heuristic tree decomposition from a greedy minimum-fill ordering.
 
     Eliminates, at each step, a vertex whose current neighborhood needs
@@ -240,6 +258,10 @@ def minfill_decomposition(graph: Graph) -> TreeDecomposition:
     vertex plus its neighborhood at that moment; its parent is the bag
     of the neighbor eliminated soonest afterwards, or simply the next
     bag when the neighborhood is empty.
+
+    With `max_bag` set, returns None as soon as the chosen vertex's bag
+    has more than `max_bag` vertices, which happens exactly when the
+    full decomposition has width + 1 > `max_bag`.
     """
     n = graph.n
     if n == 0:
@@ -249,17 +271,9 @@ def minfill_decomposition(graph: Graph) -> TreeDecomposition:
     elim_index = {}
     bags = []
     for step in range(n):
-        best = None
-        for v in sorted(alive):
-            nbrs = [u for u in live[v] if u in alive]
-            fill = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1 :]:
-                    if b not in live[a]:
-                        fill += 1
-            if best is None or fill < best[0]:
-                best = (fill, v, nbrs)
-        _, v, nbrs = best
+        v, nbrs = _min_fill_vertex(live, alive)
+        if max_bag is not None and len(nbrs) + 1 > max_bag:
+            return None
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 live[a].add(b)

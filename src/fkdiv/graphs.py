@@ -13,6 +13,14 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def iter_bits(mask: int):
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Immutable simple graph backed by an edge set, adjacency lists and bitmasks."""
 

@@ -15,7 +15,7 @@ from .errors import (
     NotCocomparabilityError,
     NotComparabilityError,
 )
-from .graphs import Graph, canonical_edge
+from .graphs import Graph, canonical_edge, iter_bits
 
 
 class Orientation:
@@ -95,47 +95,44 @@ def transitive_orientation(graph: Graph) -> Orientation:
     exists.
     """
     n = graph.n
-    unassigned = set(graph.edges)
+    unassigned = list(graph.masks)  # per vertex, neighbors across unassigned edges
     arcs: set = set()
+    first = 0  # no vertex below it has an unassigned edge left
 
-    while unassigned:
-        active = frozenset(unassigned)
-        seed = min(unassigned)
-        chosen = {seed: seed}
-        queue = deque([seed])
+    while True:
+        while first < n and not unassigned[first]:
+            first += 1
+        if first == n:
+            break
+        active = tuple(unassigned)
+        seed = (first, next(iter_bits(active[first])))
+        out = [0] * n  # out[x] bit c: arc (x, c) chosen this round
+        out[first] = 1 << seed[1]
+        chosen = [seed]
+        queue = deque(chosen)
 
-        def force(edge, want) -> None:
-            prev = chosen.get(edge)
-            if prev is None:
-                chosen[edge] = want
-                queue.append(want)
-            elif prev != want:
+        def force(a, b) -> None:
+            if out[a] >> b & 1:
+                return
+            if out[b] >> a & 1:
                 raise NotComparabilityError(
-                    f"edge {edge} forced in both directions"
+                    f"edge {canonical_edge(a, b)} forced in both directions"
                 )
+            out[a] |= 1 << b
+            chosen.append((a, b))
+            queue.append((a, b))
 
         while queue:
             x, y = queue.popleft()
-            for c in graph.neighbors(x):
-                if c == y:
-                    continue
-                if canonical_edge(x, c) not in active:
-                    continue
-                if canonical_edge(y, c) in active:
-                    continue
-                force(canonical_edge(x, c), (x, c))
-            for c in graph.neighbors(y):
-                if c == x:
-                    continue
-                if canonical_edge(c, y) not in active:
-                    continue
-                if canonical_edge(x, c) in active:
-                    continue
-                force(canonical_edge(c, y), (c, y))
+            for c in iter_bits(active[x] & ~active[y] & ~(1 << y)):
+                force(x, c)
+            for c in iter_bits(active[y] & ~active[x] & ~(1 << x)):
+                force(c, y)
 
-        for edge, arc in chosen.items():
-            arcs.add(arc)
-            unassigned.discard(edge)
+        arcs.update(chosen)
+        for a, b in chosen:
+            unassigned[a] &= ~(1 << b)
+            unassigned[b] &= ~(1 << a)
 
     # Forcing alone does not certify transitivity of the union, so the
     # constructor's closure check is the real gatekeeper.

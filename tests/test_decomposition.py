@@ -156,3 +156,61 @@ def test_clique_tree_bags_are_maximal_cliques(seed):
             if v in bag:
                 continue
             assert not all(g.has_edge(v, u) for u in bag)
+
+
+def reference_minfill(graph):
+    """Frozen min-fill loop that pins the choice rule: fewest fill edges,
+    lowest id on ties, every count recomputed each step."""
+    n = graph.n
+    if n == 0:
+        return TreeDecomposition(bags=(frozenset(),), edges=())
+    live = [set(graph.neighbors(v)) for v in range(n)]
+    alive = set(range(n))
+    elim_index = {}
+    bags = []
+    for step in range(n):
+        best = None
+        for v in sorted(alive):
+            nbrs = [u for u in live[v] if u in alive]
+            fill = 0
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1 :]:
+                    if b not in live[a]:
+                        fill += 1
+            if best is None or fill < best[0]:
+                best = (fill, v, nbrs)
+        _, v, nbrs = best
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                live[a].add(b)
+                live[b].add(a)
+        alive.remove(v)
+        elim_index[v] = step
+        bags.append(frozenset([v, *nbrs]))
+    edges = []
+    order = sorted(elim_index, key=elim_index.get)
+    for step, v in enumerate(order):
+        if step == n - 1:
+            continue
+        later = [u for u in bags[step] if u != v]
+        if later:
+            parent = min(elim_index[u] for u in later)
+        else:
+            parent = step + 1
+        edges.append((parent, step))
+    return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_minfill_matches_reference_and_bag_bound(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 30), rng.random())
+    td = minfill_decomposition(g)
+    assert td == reference_minfill(g)
+    for bound in range(td.width + 3):
+        bounded = minfill_decomposition(g, max_bag=bound)
+        if td.width + 1 > bound:
+            assert bounded is None
+        else:
+            assert bounded == td

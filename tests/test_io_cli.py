@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from fkdiv import cli, decomposition, orientation, treedp
-from fkdiv.errors import DimensionMismatchError, ParseError
+from fkdiv.errors import DimensionMismatchError, NoApplicableAlgorithmError, ParseError
 from fkdiv.generators import build_family
+from fkdiv.graphs import Graph, Instance
 from fkdiv.instance_io import (
     REPORT_KEYS,
+    ParsedInstance,
     build_report,
     coloring_array,
     parse_instance,
@@ -500,3 +502,51 @@ def test_cli_forced_treewidth_ignores_the_cell_limit(tmp_path, capsys):
     code, out = solve_in_process(capsys, path, "--budget", "1000", "--algo", "treewidth")
     assert code == 0
     assert json.loads(out)["algorithm"] == "treewidth"
+
+
+def clique_plus_c5(b):
+    """K_b on 0..b-1 beside a 5-cycle, k=2: neither chordal nor
+    cocomparability, and min-fill eliminates a clique vertex first, so
+    its width is b-1."""
+    edges = [(u, v) for u in range(b) for v in range(u + 1, b)]
+    edges += [(b + i, b + (i + 1) % 5) for i in range(5)]
+    graph = Graph(b + 5, edges)
+    return ParsedInstance(Instance(graph, [[1] * graph.n, [2] * graph.n]))
+
+
+def test_auto_cell_limit_boundary_on_clique_bags(tmp_path, capsys):
+    # 3^10 = 59049 bag colorings fit MINFILL_CELL_LIMIT = 10^5; 3^11 do not.
+    assert cli._auto_algorithm(clique_plus_c5(10), "auto", 1000, True)[0] == "treewidth"
+    parsed = clique_plus_c5(11)
+    with pytest.raises(NoApplicableAlgorithmError):
+        cli._auto_algorithm(parsed, "auto", 1000, True)
+    assert cli._auto_algorithm(parsed, "treewidth", 1000, True)[0] == "treewidth"
+    path = tmp_path / "k11c5.fk"
+    path.write_text(serialize_instance(parsed))
+    code, out = solve_in_process(capsys, path, "--budget", "1000")
+    assert code == 3 and out == ""
+
+
+def test_auto_rejects_dense_graph_after_one_elimination_at_most(
+    tmp_path, capsys, monkeypatch
+):
+    parsed = build_family("random", 120, 2, 9, 0)
+    graph = parsed.graph
+    assert graph.m >= 0.5 * graph.n * (graph.n - 1) / 2
+    steps = []  # one min-fill pick per elimination step
+    pick = decomposition._min_fill_vertex
+
+    def counted(live, alive):
+        steps.append(len(alive))
+        return pick(live, alive)
+
+    monkeypatch.setattr(decomposition, "_min_fill_vertex", counted)
+    # k=2: 3^10 <= MINFILL_CELL_LIMIT < 3^11, so auto's bag bound is 10.
+    assert decomposition.minfill_decomposition(graph, max_bag=10) is None
+    assert len(steps) <= 1
+    steps.clear()
+    path = tmp_path / "dense.fk"
+    path.write_text(serialize_instance(parsed))
+    code, out = solve_in_process(capsys, path)
+    assert code == 3 and out == ""
+    assert len(steps) <= 1

@@ -1,16 +1,19 @@
 import itertools
+from collections import deque
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import orientation_exists_bruteforce
+from fkdiv import orientation
 from fkdiv.errors import (
     CycleDetectedError,
     NotCocomparabilityError,
     NotComparabilityError,
 )
-from fkdiv.graphs import Graph
+from fkdiv.graphs import Graph, canonical_edge
 from fkdiv.orientation import (
     Orientation,
     complement_orientation,
@@ -105,3 +108,58 @@ def test_successful_orientations_are_valid(g):
     except NotComparabilityError:
         return
     assert {tuple(sorted(a)) for a in orient.arcs} == set(comp.edges)
+
+
+def reference_forcing(graph):
+    """Frozen edge-set forcing loop the bitmask version must reproduce:
+    the arcs it hands out, or the message of the first conflict."""
+    unassigned = set(graph.edges)
+    arcs = set()
+    while unassigned:
+        active = frozenset(unassigned)
+        seed = min(unassigned)
+        chosen = {seed: seed}
+        queue = deque([seed])
+
+        def force(edge, want):
+            prev = chosen.get(edge)
+            if prev is None:
+                chosen[edge] = want
+                queue.append(want)
+            elif prev != want:
+                raise NotComparabilityError(f"edge {edge} forced in both directions")
+
+        while queue:
+            x, y = queue.popleft()
+            for c in graph.neighbors(x):
+                xc, yc = canonical_edge(x, c), canonical_edge(y, c)
+                if c != y and xc in active and yc not in active:
+                    force(xc, (x, c))
+            for c in graph.neighbors(y):
+                xc, yc = canonical_edge(x, c), canonical_edge(y, c)
+                if c != x and yc in active and xc not in active:
+                    force(yc, (c, y))
+        for edge, arc in chosen.items():
+            arcs.add(arc)
+            unassigned.discard(edge)
+    return arcs
+
+
+def forced_arcs(graph):
+    """The arcs transitive_orientation's forcing hands out, taken before
+    Orientation's transitivity check can reject them."""
+    with patch.object(orientation, "Orientation", lambda n, arcs: arcs):
+        return transitive_orientation(graph)
+
+
+def outcome(fn, graph):
+    try:
+        return frozenset(fn(graph))
+    except NotComparabilityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_up_to(9))
+def test_forcing_matches_reference(g):
+    assert outcome(forced_arcs, g) == outcome(reference_forcing, g)
