@@ -6,13 +6,19 @@ is grown by remembering only its latest vertex. States are k-tuples of
 positions in a fixed topological order (0 meaning the class is still
 empty); each state holds the profiles realizable with those latest
 vertices.
+
+Every state other than the empty one is written exactly once, at the
+layer of its largest position, so the final table holds each state as
+it stood when later layers read it. A witness is therefore recovered
+by walking a profile back through that table instead of storing one
+coloring per profile.
 """
 
 from __future__ import annotations
 
 from .graphs import Instance
 from .orientation import Orientation, complement_orientation, topological_sort
-from .profiles import ProfileSpace
+from .profiles import ProfileSpace, uses_bitset
 
 
 def initial_table(space) -> dict:
@@ -62,6 +68,43 @@ def iter_layer_tables(instance: Instance, order, orientation: Orientation, space
         yield j, v, table
 
 
+def walk_back(instance: Instance, order, orientation: Orientation, table: dict):
+    """Witness recovery over a finished `table`: profile -> coloring.
+
+    A profile is traced from the smallest state key holding it. A state
+    whose largest position j sits in class s was built from states with
+    that entry replaced by a predecessor position of the j-th vertex, by
+    adding its profit to class s; the walk takes the smallest such
+    position whose state holds the reduced profile.
+    """
+    pos = {v: i + 1 for i, v in enumerate(order)}
+
+    def witness(profile):
+        key = min((key for key, cell in table.items() if profile in cell), default=None)
+        if key is None:
+            raise KeyError(profile)
+        p = list(profile)
+        coloring = [[] for _ in range(instance.k)]
+        while any(key):
+            j = max(key)
+            s = key.index(j)
+            v = order[j - 1]
+            coloring[s].append(v)
+            p[s] -= instance.profit(s, v)
+            reduced = tuple(p)
+            for i in sorted({0, *(pos[u] for u in orientation.in_neighbors(v))}):
+                source = key[:s] + (i,) + key[s + 1 :]
+                cell = table.get(source)
+                if cell is not None and reduced in cell:
+                    key = source
+                    break
+            else:
+                raise AssertionError(f"no source state for {profile} at {key}")
+        return tuple(tuple(sorted(cls)) for cls in coloring)
+
+    return witness
+
+
 def solve_cocomparability(
     instance: Instance,
     *,
@@ -77,19 +120,32 @@ def solve_cocomparability(
     orientation; raises NotCocomparabilityError otherwise. Pass a
     precomputed `orientation` (and optionally a topological `order` of
     it) to skip recomputation across repeated solves on the same graph.
+
+    Without a `space`, states hold no witnesses: `witnesses=True` makes
+    the returned set trace a witness back through the final table when
+    one is asked for. States are pruned only when they are dicts, since
+    a packed bitmap costs its width whatever it holds; with `prune` the
+    returned set is pruned. A given `space` keeps its own witnesses and
+    prunes every state by its own policy.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)
     if order is None:
         order = topological_sort(instance.graph.n, orientation.arcs)
-    if space is None:
-        space = ProfileSpace.for_instance(
-            instance, track_witnesses=witnesses, prune=prune
-        )
+    own_space = space is None
+    if own_space:
+        k, qbound = instance.k, instance.qbound
+        space = ProfileSpace(k, qbound, prune=prune and not uses_bitset(k, qbound))
     table = initial_table(space)
     for _j, _v, table in iter_layer_tables(instance, order, orientation, space):
         pass
     result = space.empty()
     for cell in table.values():
         result.union_update(cell)
-    return space.finalize(result)
+    if not own_space:
+        return space.finalize(result)
+    if prune:
+        result = result.prune_dominated()
+    if witnesses:
+        result.traceback = walk_back(instance, order, orientation, table)
+    return result

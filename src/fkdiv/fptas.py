@@ -92,7 +92,7 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     grid = RoundingGrid.for_instance(instance, eps)
     orientation = complement_orientation(instance.graph)
     order = topological_sort(instance.graph.n, orientation.arcs)
-    exact_space = ProfileSpace.for_instance(instance, track_witnesses=True)
+    exact_space = ProfileSpace.for_instance(instance)
     rounded_space = RoundedProfileSpace(instance.k, grid)
 
     exact_run = iter_layer_tables(instance, order, orientation, exact_space)

@@ -4,7 +4,8 @@ A profile is a plain tuple of k nonnegative ints (one entry per agent).
 A partial coloring is stored as k sorted vertex tuples, one per class.
 ProfileSet holds distinct profiles, optionally with one witness coloring
 per profile; internally it is either a dict keyed by profile or a dense
-bitmap over radix-(qbound+1) packed profiles.
+bitmap over radix-(qbound+1) packed profiles. A set may instead carry a
+traceback callable that recovers a witness only when one is asked for.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from .errors import EmptySetError
 # Dense-bitmap cutover: use the packed bitmap only while (qbound+1)^k
 # stays at most this many bits, otherwise each cell gets too large.
 BITSET_LIMIT = 1 << 17
+
+
+def uses_bitset(k: int, qbound: int) -> bool:
+    """Whether a witness-free set of this shape is a packed bitmap."""
+    return (qbound + 1) ** k <= BITSET_LIMIT
 
 
 def empty_coloring(k: int):
@@ -64,7 +70,9 @@ def check_coloring(graph, coloring) -> None:
 class ProfileSet:
     """Set of distinct profit profiles with optional witness colorings."""
 
-    __slots__ = ("k", "qbound", "track_witnesses", "_map", "_bits", "_weights")
+    __slots__ = (
+        "k", "qbound", "track_witnesses", "_map", "_bits", "_weights", "traceback"
+    )
 
     def __init__(self, k: int, qbound: int, track_witnesses: bool = False):
         if k < 1:
@@ -75,7 +83,10 @@ class ProfileSet:
         self.qbound = qbound
         self.track_witnesses = track_witnesses
         self._weights = tuple((qbound + 1) ** (k - 1 - i) for i in range(k))
-        if track_witnesses or (qbound + 1) ** k > BITSET_LIMIT:
+        # profile -> coloring, consulted by witness_for before any stored
+        # witness; set by solvers that walk their tables back on demand.
+        self.traceback = None
+        if track_witnesses or not uses_bitset(k, qbound):
             self._map = {}
             self._bits = None
         else:
@@ -128,18 +139,16 @@ class ProfileSet:
         return iter(self.profiles())
 
     def witness_for(self, profile):
+        if self.traceback is not None:
+            return self.traceback(tuple(profile))
         if self._map is None:
             return None
         return self._map[tuple(profile)]
 
     def items(self):
         """(profile, witness) pairs in lexicographic profile order."""
-        if self._map is not None:
-            for p in sorted(self._map):
-                yield p, self._map[p]
-        else:
-            for p in self.profiles():
-                yield p, None
+        for p in self.profiles():
+            yield p, self.witness_for(p)
 
     def __eq__(self, other):
         if not isinstance(other, ProfileSet):
@@ -281,16 +290,32 @@ class ProfileSet:
         return best_key[0], best_profile, self.witness_for(best_profile)
 
     def prune_dominated(self) -> "ProfileSet":
-        """Keep only profiles not componentwise dominated by another entry."""
+        """Keep only profiles not componentwise dominated by another entry.
+
+        Profiles are visited in descending lexicographic order, so only an
+        earlier one can dominate a later one. For k <= 2 every earlier
+        profile is at least as large in all entries but the last, so a
+        profile survives iff its last entry beats every earlier last
+        entry (a sorted sweep, after Kung, Luccio and Preparata, 1975).
+        Stored witnesses and a traceback carry over unchanged.
+        """
         if len(self) <= 1:
             return self
         kept = []
-        for p in sorted(self.profiles(), reverse=True):
-            if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
-                kept.append(p)
+        if self.k <= 2:
+            top = -1
+            for p in reversed(self.profiles()):
+                if p[-1] > top:
+                    kept.append(p)
+                    top = p[-1]
+        else:
+            for p in reversed(self.profiles()):
+                if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
+                    kept.append(p)
         out = ProfileSet(self.k, self.qbound, self.track_witnesses)
+        out.traceback = self.traceback
         for p in kept:
-            out.add(p, self.witness_for(p))
+            out.add(p, None if self._map is None else self._map[p])
         return out
 
 

@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
+import fkdiv.cocomp as cocomp
+import fkdiv.profiles as profiles
 from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
@@ -12,7 +14,7 @@ from fkdiv.orientation import (
     is_cocomparability,
     topological_sort,
 )
-from fkdiv.profiles import ProfileSpace, check_coloring, profile_of
+from fkdiv.profiles import ProfileSpace, check_coloring, profile_of, uses_bitset
 
 
 def test_path_instance_matches_hand_computed():
@@ -91,3 +93,80 @@ def test_witnesses_cover_every_profile(seed):
     for profile, witness in ps.items():
         check_coloring(inst.graph, witness)
         assert profile_of(inst, witness) == profile
+
+
+def pareto(profiles):
+    return {
+        p for p in profiles
+        if not any(q != p and all(a >= b for a, b in zip(q, p)) for q in profiles)
+    }
+
+
+def assert_traced(inst, prune, want_profiles):
+    ps = solve_cocomparability(inst, witnesses=True, prune=prune)
+    assert frozenset(ps.profiles()) == want_profiles
+    for profile, witness in ps.items():
+        check_coloring(inst.graph, witness)
+        assert profile_of(inst, witness) == profile
+    value, profile, witness = ps.best()
+    assert value == max(min(p) for p in want_profiles)
+    assert profile_of(inst, witness) == profile
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6), st.booleans(), st.sampled_from([1, 70000])
+)
+def test_traceback_matches_brute_force(seed, prune, scale):
+    """scale 70000 pushes (Q+1)^k past BITSET_LIMIT, so states are dicts."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(1, 7), rng.randint(1, 3), 6, 0.45)
+    assume(is_cocomparability(inst.graph))
+    if scale > 1:
+        inst = inst.with_profits(
+            [[scale * x + rng.randint(0, 9) for x in row] for row in inst.profits]
+        )
+    assume(uses_bitset(inst.k, inst.qbound) == (scale == 1))
+    want = brute_force(inst).profiles
+    assert_traced(inst, prune, frozenset(pareto(want)) if prune else want)
+
+
+def test_traceback_with_all_zero_profits():
+    inst = Instance(Graph(4, [(0, 1), (2, 3)]), ((0, 0, 0, 0), (0, 0, 0, 0)))
+    for prune in (False, True):
+        ps = solve_cocomparability(inst, witnesses=True, prune=prune)
+        assert ps.profiles() == [(0, 0)]
+        value, profile, witness = ps.best()
+        assert (value, profile) == (0, (0, 0))
+        check_coloring(inst.graph, witness)
+
+
+def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
+    inst = Instance(
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        ((3, 1, 4, 1, 5, 9), (2, 6, 5, 3, 5, 8)),
+    )
+    assert uses_bitset(inst.k, inst.qbound)
+    copies = []
+
+    def counting_with_vertex(*args):
+        copies.append(args)
+        return with_vertex(*args)
+
+    tables = []
+
+    def capturing(*args):
+        for j, v, table in iter_layer_tables(*args):
+            tables.append(table)
+            yield j, v, table
+
+    with_vertex = profiles.with_vertex
+    monkeypatch.setattr(profiles, "with_vertex", counting_with_vertex)
+    monkeypatch.setattr(cocomp, "iter_layer_tables", capturing)
+    ps = solve_cocomparability(inst, witnesses=True, prune=True)
+    value, profile, witness = ps.best()
+    assert copies == []
+    assert len(tables[-1]) > 1
+    assert all(cell._bits is not None for cell in tables[-1].values())
+    check_coloring(inst.graph, witness)
+    assert profile_of(inst, witness) == profile

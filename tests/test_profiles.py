@@ -182,3 +182,37 @@ def test_space_for_instance_uses_qbound():
     inst = Instance(Graph(2, []), ((3, 4), (1, 1)))
     space = ProfileSpace.for_instance(inst)
     assert space.qbound == 7
+
+
+def reference_prune(ps):
+    """The quadratic prune_dominated loop that the sorted sweep replaced."""
+    if len(ps) <= 1:
+        return ps
+    kept = []
+    for p in sorted(ps.profiles(), reverse=True):
+        if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
+            kept.append(p)
+    out = ProfileSet(ps.k, ps.qbound, ps.track_witnesses)
+    for p in kept:
+        out.add(p, ps.witness_for(p))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prune_matches_reference_loop(data):
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    qbound = data.draw(st.sampled_from([1, 3, 6, 400]))
+    track = data.draw(st.booleans())
+    rows = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=qbound)] * k),
+            max_size=30,
+        )
+    )
+    ps = ProfileSet(k, qbound, track_witnesses=track)
+    for i, row in enumerate(rows):
+        ps.add(row, tuple((i % 7,) if j == i % k else () for j in range(k)))
+    got, want = ps.prune_dominated(), reference_prune(ps)
+    assert got.profiles() == want.profiles()
+    assert [got.witness_for(p) for p in got] == [want.witness_for(p) for p in want]
