@@ -8,16 +8,21 @@ the middle solve by zeroing their profit and stripping them from the
 witnesses afterwards, the guessed vertices themselves are added on top,
 and the remaining tail vertices, whose neighborhoods the guesses cover,
 are swept in one by one. Components merge by summing profiles.
+
+Exact sets hold no witnesses: one is traced back when asked for, by
+splitting the profile across the components and replaying the steps of
+one guess inside a component.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .bipartite import BiconvexStructure, biconvex_structure, require_biconvex_ordering
+from .bipartite import biconvex_structure, require_biconvex_ordering
+from .errors import EmptySetError
 from .graphs import Instance
 from .orientation import complement_orientation, topological_sort
-from .profiles import ProfileSpace, merge_components
+from .profiles import ProfileSpace
 from .cocomp import solve_cocomparability
 
 
@@ -35,33 +40,73 @@ def enumerate_guesses(tail_left, tail_right, k: int):
             yield upper, lower
 
 
-def _augment(cur, vertices, bounds, side_ok, instance, real, space):
-    """Sweep tail vertices into any class whose guessed bound covers them.
+def _relabel(ids, forbidden=None):
+    """Coloring map from local ids to `ids`, dropping from each class j
+    the vertices in forbidden[j]."""
 
-    Each vertex extends the snapshot taken before it, so one vertex
-    never lands in two classes of the same witness.
+    def relabel(coloring):
+        return tuple(
+            tuple(sorted(
+                x for x in map(ids.__getitem__, cls)
+                if forbidden is None or x not in forbidden[j]
+            ))
+            for j, cls in enumerate(coloring)
+        )
+
+    return relabel
+
+
+def _sweep(cur, vertex, classes, instance, space, steps):
+    """`cur` plus `vertex` in any one of `classes`, or left out.
+
+    Every addition extends `cur` itself, so one vertex never lands in
+    two classes of the same witness. With `steps`, records the step.
     """
-    k = instance.k
-    for a in vertices:
-        if a in real:
+    merged = space.empty()
+    merged.union_update(cur)
+    for j in classes:
+        merged.union_update(cur.extended(j, instance.profit(j, vertex), vertex))
+    if steps is not None:
+        steps.append((vertex, classes, cur))
+    return merged
+
+
+def _undo_steps(instance, steps, profile):
+    """Walk recorded steps back, last first: (the profile left before
+    the first step, per-class lists of the vertices the steps placed).
+
+    A step is (vertex, classes, snapshot before it). A sweep step leaves
+    its vertex out when the snapshot holds the profile, and otherwise
+    puts it in the smallest listed class whose reduced profile the
+    snapshot holds; a step without a snapshot is always taken.
+    """
+    placed = [[] for _ in range(instance.k)]
+    p = profile
+    for vertex, classes, before in reversed(steps):
+        if before is not None and p in before:
             continue
-        additions = []
-        for j in range(k):
-            bound = bounds[j]
-            if bound is None or not side_ok(a, bound):
-                continue
-            additions.append(cur.extended(j, instance.profit(j, a), a))
-        if additions:
-            merged = space.empty()
-            merged.union_update(cur)
-            for add in additions:
-                merged.union_update(add)
-            cur = merged
-    return cur
+        for j in classes:
+            reduced = p[:j] + (p[j] - instance.profit(j, vertex),) + p[j + 1 :]
+            if before is None or reduced in before:
+                placed[j].append(vertex)
+                p = reduced
+                break
+        else:
+            raise AssertionError(f"no step source for {profile} at vertex {vertex}")
+    return p, placed
 
 
-def solve_biconvex_connected(instance: Instance, order_a, order_b, space):
-    """Profile set of one connected component, in the component's ids."""
+def solve_biconvex_connected(
+    instance: Instance, order_a, order_b, space, witnesses: bool = False
+):
+    """Profile set of one connected component, in the component's ids.
+
+    With `witnesses`, each guess's final set is kept, and the returned
+    set traces a profile by replaying the first guess, in
+    `enumerate_guesses` order, whose set holds it: the replay records
+    the boundary and sweep steps, which are undone last first, and the
+    rest comes from the middle solve's ordered traceback.
+    """
     graph = instance.graph
     k = instance.k
     st = biconvex_structure(graph, order_a, order_b)
@@ -71,8 +116,8 @@ def solve_biconvex_connected(instance: Instance, order_a, order_b, space):
     to_mid = {g: i for i, g in enumerate(mid_ids)}
     pos = {v: i for i, v in enumerate(st.order_a)}
 
-    result = space.empty()
-    for upper, lower in enumerate_guesses(st.tail_left, st.tail_right, k):
+    def run_guess(upper, lower, steps=None):
+        """(final set, middle set, relabeling of middle witnesses)."""
         forbidden = []
         for j in range(k):
             banned = set()
@@ -88,45 +133,60 @@ def solve_biconvex_connected(instance: Instance, order_a, order_b, space):
                 row[to_mid[g]] = 0
             rows.append(row)
         zeroed = mid_instance.with_profits(rows)
-        cur = solve_cocomparability(
-            zeroed, orientation=orientation, order=order, space=space
+        middle = solve_cocomparability(
+            zeroed,
+            orientation=orientation,
+            order=order,
+            space=space,
+            witnesses=steps is not None,
         )
-        cur = cur.remapped(mid_ids)
-        if space.track_witnesses:
-            forb = forbidden
-
-            def strip(w, forb=forb):
-                return tuple(
-                    tuple(x for x in cls if x not in forb[j])
-                    for j, cls in enumerate(w)
-                )
-
-            cur = cur.map_witnesses(strip)
+        relabel = _relabel(mid_ids, forbidden)
+        cur = middle.map_witnesses(relabel) if space.track_witnesses else middle
         for j in range(k):
             for boundary in (upper[j], lower[j]):
                 if boundary is not None:
+                    if steps is not None:
+                        steps.append((boundary, (j,), None))
                     cur = cur.extended(j, instance.profit(j, boundary), boundary)
+        # Sweep the other tail vertices, from each tail's outer end in,
+        # into any class whose guessed bound covers them.
         real = {v for v in (*upper, *lower) if v is not None}
-        cur = _augment(
-            cur,
-            st.tail_left,
-            upper,
-            lambda a, b: pos[a] < pos[b],
-            instance,
-            real,
-            space,
-        )
-        cur = _augment(
-            cur,
-            tuple(reversed(st.tail_right)),
-            lower,
-            lambda a, b: pos[a] > pos[b],
-            instance,
-            real,
-            space,
-        )
+        tails = ((st.tail_left, upper, 1), (st.tail_right[::-1], lower, -1))
+        for tail, bounds, sign in tails:
+            for a in tail:
+                classes = [
+                    j for j, b in enumerate(bounds)
+                    if b is not None and sign * (pos[b] - pos[a]) > 0
+                ]
+                if classes and a not in real:
+                    cur = _sweep(cur, a, classes, instance, space, steps)
+        return cur, middle, relabel
+
+    result = space.empty()
+    finals = []
+    for upper, lower in enumerate_guesses(st.tail_left, st.tail_right, k):
+        cur = run_guess(upper, lower)[0]
         result.union_update(cur)
-    return space.finalize(result)
+        if witnesses:
+            finals.append((upper, lower, cur))
+    result = space.finalize(result)
+    if not witnesses:
+        return result
+
+    def witness(profile):
+        for upper, lower, final in finals:
+            if profile in final:
+                break
+        else:
+            raise KeyError(profile)
+        steps = []
+        _cur, middle, relabel = run_guess(upper, lower, steps)
+        rest, placed = _undo_steps(instance, steps, profile)
+        mid = relabel(middle.witness_for(rest))
+        return tuple(tuple(sorted([*a, *b])) for a, b in zip(placed, mid))
+
+    result.traceback = witness
+    return result
 
 
 def solve_biconvex(
@@ -142,29 +202,56 @@ def solve_biconvex(
 
     order_a and order_b must be a biconvex ordering of the whole graph;
     components are carved out, solved against their restricted orders,
-    and merged by profile sums.
+    and merged by profile sums. Without a `space`, `witnesses=True`
+    makes the returned set split a profile back across the components,
+    last component first, and trace each part in its own component.
     """
     graph = instance.graph
+    trace = space is None and witnesses
     if space is None:
-        space = ProfileSpace.for_instance(
-            instance, track_witnesses=witnesses, prune=prune
-        )
+        space = ProfileSpace.for_instance(instance, prune=prune)
     require_biconvex_ordering(graph, order_a, order_b)
-    component_sets = []
+    parts, traces = [], []
     for comp in graph.components():
         if len(comp) == 1:
-            v = comp[0]
-            s = space.zero()
-            base = space.zero()
-            for j in range(instance.k):
-                s.union_update(base.extended(j, instance.profit(j, v), v))
-            component_sets.append(space.finalize(s))
+            steps = []
+            part = _sweep(space.zero(), comp[0], range(instance.k), instance, space, steps)
+            parts.append(space.finalize(part))
+            traces.append(
+                lambda p, s=steps: tuple(map(tuple, _undo_steps(instance, s, p)[1]))
+            )
             continue
         members = set(comp)
         sub, ids = instance.sub_instance(comp)
         to_local = {g: i for i, g in enumerate(ids)}
         local_a = tuple(to_local[v] for v in order_a if v in members)
         local_b = tuple(to_local[v] for v in order_b if v in members)
-        local = solve_biconvex_connected(sub, local_a, local_b, space)
-        component_sets.append(local.remapped(ids))
-    return space.finalize(merge_components(component_sets))
+        part = solve_biconvex_connected(sub, local_a, local_b, space, trace)
+        if space.track_witnesses:
+            part = part.map_witnesses(_relabel(ids))
+        if trace:
+            # Read before the result's traceback is set: with one
+            # component the result may be this very set.
+            traces.append(lambda p, t=part.traceback, r=_relabel(ids): r(t(p)))
+        parts.append(part)
+    if not parts:
+        raise EmptySetError("an instance without vertices has no components")
+    folds = [parts[0]]
+    for part in parts[1:]:
+        folds.append(folds[-1].combine(part))
+    result = space.finalize(folds[-1])
+    if not trace:
+        return result
+
+    def witness(profile):
+        coloring = [[] for _ in range(instance.k)]
+        for i in range(len(parts) - 1, -1, -1):
+            own = profile
+            if i:
+                profile, own = folds[i - 1].split(profile, parts[i])
+            for j, cls in enumerate(traces[i](own)):
+                coloring[j].extend(cls)
+        return tuple(tuple(sorted(cls)) for cls in coloring)
+
+    result.traceback = witness
+    return result

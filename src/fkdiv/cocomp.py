@@ -121,12 +121,13 @@ def solve_cocomparability(
     precomputed `orientation` (and optionally a topological `order` of
     it) to skip recomputation across repeated solves on the same graph.
 
-    Without a `space`, states hold no witnesses: `witnesses=True` makes
-    the returned set trace a witness back through the final table when
-    one is asked for. States are pruned only when they are dicts, since
-    a packed bitmap costs its width whatever it holds; with `prune` the
-    returned set is pruned. A given `space` keeps its own witnesses and
-    prunes every state by its own policy.
+    States hold no witnesses: `witnesses=True` makes the returned set
+    trace a witness back through the final table when one is asked for.
+    Without a `space`, states are pruned only when they are sets, since
+    a packed bitmap costs its width whatever it holds, and with `prune`
+    the returned set is pruned. A given `space` prunes every state by
+    its own policy; a rounded space keeps its own witnesses and is never
+    asked for a traceback.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)
@@ -136,15 +137,14 @@ def solve_cocomparability(
     if own_space:
         k, qbound = instance.k, instance.qbound
         space = ProfileSpace(k, qbound, prune=prune and not uses_bitset(k, qbound))
-    table = initial_table(space)
     for _j, _v, table in iter_layer_tables(instance, order, orientation, space):
         pass
     result = space.empty()
     for cell in table.values():
         result.union_update(cell)
     if not own_space:
-        return space.finalize(result)
-    if prune:
+        result = space.finalize(result)
+    elif prune:
         result = result.prune_dominated()
     if witnesses:
         result.traceback = walk_back(instance, order, orientation, table)

@@ -2,10 +2,9 @@
 
 A profile is a plain tuple of k nonnegative ints (one entry per agent).
 A partial coloring is stored as k sorted vertex tuples, one per class.
-ProfileSet holds distinct profiles, optionally with one witness coloring
-per profile; internally it is either a dict keyed by profile or a dense
-bitmap over radix-(qbound+1) packed profiles. A set may instead carry a
-traceback callable that recovers a witness only when one is asked for.
+ProfileSet holds distinct profiles, either as a set or as a dense bitmap
+over radix-(qbound+1) packed profiles. It stores no witnesses: a solver
+may attach a traceback callable that recovers one when it is asked for.
 """
 
 from __future__ import annotations
@@ -18,34 +17,13 @@ BITSET_LIMIT = 1 << 17
 
 
 def uses_bitset(k: int, qbound: int) -> bool:
-    """Whether a witness-free set of this shape is a packed bitmap."""
+    """Whether a set of this shape is a packed bitmap."""
     return (qbound + 1) ** k <= BITSET_LIMIT
-
-
-def empty_coloring(k: int):
-    return ((),) * k
 
 
 def satisfaction(profile) -> int:
     """Minimum entry of a profile; the quantity all solvers maximize."""
     return min(profile)
-
-
-def with_vertex(coloring, cls0: int, v: int):
-    """Coloring with vertex v inserted into class cls0 (0-based)."""
-    cur = coloring[cls0]
-    i = 0
-    while i < len(cur) and cur[i] < v:
-        i += 1
-    new = cur[:i] + (v,) + cur[i:]
-    return coloring[:cls0] + (new,) + coloring[cls0 + 1 :]
-
-
-def merge_colorings(c1, c2):
-    """Per-class union of two colorings (shared vertices collapse)."""
-    return tuple(
-        tuple(sorted(set(a) | set(b))) for a, b in zip(c1, c2, strict=True)
-    )
 
 
 def profile_of(instance, coloring):
@@ -68,30 +46,27 @@ def check_coloring(graph, coloring) -> None:
 
 
 class ProfileSet:
-    """Set of distinct profit profiles with optional witness colorings."""
+    """Set of distinct profit profiles, optionally with a traceback."""
 
-    __slots__ = (
-        "k", "qbound", "track_witnesses", "_map", "_bits", "_weights", "traceback"
-    )
+    __slots__ = ("k", "qbound", "_set", "_bits", "_weights", "traceback")
 
-    def __init__(self, k: int, qbound: int, track_witnesses: bool = False):
+    def __init__(self, k: int, qbound: int):
         if k < 1:
             raise ValueError("k must be at least 1")
         if qbound < 0:
             raise ValueError("qbound must be nonnegative")
         self.k = k
         self.qbound = qbound
-        self.track_witnesses = track_witnesses
         self._weights = tuple((qbound + 1) ** (k - 1 - i) for i in range(k))
-        # profile -> coloring, consulted by witness_for before any stored
-        # witness; set by solvers that walk their tables back on demand.
+        # profile -> coloring, consulted by witness_for; set by solvers
+        # that walk their tables back on demand.
         self.traceback = None
-        if track_witnesses or not uses_bitset(k, qbound):
-            self._map = {}
-            self._bits = None
-        else:
-            self._map = None
+        if uses_bitset(k, qbound):
+            self._set = None
             self._bits = 0
+        else:
+            self._set = set()
+            self._bits = None
 
     # -- packing ---------------------------------------------------------
 
@@ -111,22 +86,32 @@ class ProfileSet:
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        if self._map is not None:
-            return len(self._map)
+        if self._set is not None:
+            return len(self._set)
         return self._bits.bit_count()
 
     def is_empty(self) -> bool:
         return len(self) == 0
 
     def __contains__(self, profile) -> bool:
-        if self._map is not None:
-            return tuple(profile) in self._map
-        return bool(self._bits >> self._pack(profile) & 1)
+        profile = tuple(profile)
+        if self._set is not None:
+            return profile in self._set
+        # A profile of another arity, or with an entry outside
+        # [0, qbound], may pack onto a member but is never one.
+        if len(profile) != self.k:
+            return False
+        idx = 0
+        for q, w in zip(profile, self._weights):
+            if not 0 <= q <= self.qbound:
+                return False
+            idx += q * w
+        return bool(self._bits >> idx & 1)
 
     def profiles(self) -> list:
         """All profiles in lexicographic order."""
-        if self._map is not None:
-            return sorted(self._map)
+        if self._set is not None:
+            return sorted(self._set)
         out = []
         bits = self._bits
         while bits:
@@ -139,11 +124,10 @@ class ProfileSet:
         return iter(self.profiles())
 
     def witness_for(self, profile):
-        if self.traceback is not None:
-            return self.traceback(tuple(profile))
-        if self._map is None:
+        """The traceback's coloring for `profile`, or None without one."""
+        if self.traceback is None:
             return None
-        return self._map[tuple(profile)]
+        return self.traceback(tuple(profile))
 
     def items(self):
         """(profile, witness) pairs in lexicographic profile order."""
@@ -155,8 +139,8 @@ class ProfileSet:
             return NotImplemented
         if self.k != other.k:
             return False
-        if self._map is not None and other._map is not None:
-            return self._map.keys() == other._map.keys()
+        if self._set is not None and other._set is not None:
+            return self._set == other._set
         return self.profiles() == other.profiles()
 
     def __repr__(self):
@@ -164,60 +148,38 @@ class ProfileSet:
 
     # -- construction -----------------------------------------------------
 
-    def add(self, profile, witness=None) -> None:
+    def add(self, profile) -> None:
         profile = tuple(profile)
         if len(profile) != self.k:
             raise ValueError(f"profile arity {len(profile)} != k={self.k}")
         for q in profile:
             if not (0 <= q <= self.qbound):
                 raise ValueError(f"profile entry {q} outside [0, {self.qbound}]")
-        if self._map is not None:
-            self._insert(profile, witness if self.track_witnesses else None)
+        if self._set is not None:
+            self._set.add(profile)
         else:
             self._bits |= 1 << self._pack(profile)
 
-    def _insert(self, profile, witness) -> None:
-        # On collision keep the lexicographically smallest witness so results
-        # do not depend on accumulation order.
-        cur = self._map.get(profile, _ABSENT)
-        if cur is _ABSENT:
-            self._map[profile] = witness
-        elif witness is not None and (cur is None or witness < cur):
-            self._map[profile] = witness
-
     def union_update(self, other: "ProfileSet") -> None:
-        if self._bits is not None and other._bits is not None:
+        """Add every profile of `other`, a set of the same shape."""
+        if self._bits is not None:
             self._bits |= other._bits
-            return
-        if other._map is not None:
-            for p, w in other._map.items():
-                self._insert(p, w if self.track_witnesses else None)
         else:
-            for p in other.profiles():
-                self._insert(p, None)
+            self._set |= other._set
 
     def extended(self, cls0: int, amount: int, vertex=None) -> "ProfileSet":
         """New set with `amount` added at class cls0 in every profile.
 
-        With witness tracking, `vertex` is appended to class cls0 of every
-        witness. Callers guarantee entries stay within qbound.
+        `vertex` is ignored: it keeps the call shared with the rounded
+        sets, which store witnesses. Callers guarantee entries stay
+        within qbound.
         """
-        out = ProfileSet(self.k, self.qbound, self.track_witnesses)
-        if amount == 0 and vertex is None:
-            out.union_update(self)
-            return out
+        out = ProfileSet(self.k, self.qbound)
         if self._bits is not None:
             out._bits = self._bits << (amount * self._weights[cls0])
             return out
-        if self.track_witnesses and vertex is None:
-            raise ValueError("witness tracking needs the vertex being added")
         j = cls0
-        for p, w in self._map.items():
-            np = p[:j] + (p[j] + amount,) + p[j + 1 :]
-            nw = None
-            if self.track_witnesses and w is not None:
-                nw = with_vertex(w, j, vertex)
-            out._map[np] = nw
+        out._set = {p[:j] + (p[j] + amount,) + p[j + 1 :] for p in self._set}
         return out
 
     def combine(self, other: "ProfileSet", minus=None) -> "ProfileSet":
@@ -227,8 +189,8 @@ class ProfileSet:
         used at join nodes where the shared bag is counted twice.
         """
         base = tuple(minus) if minus is not None else (0,) * self.k
-        out = ProfileSet(self.k, self.qbound, self.track_witnesses)
-        if self._bits is not None and other._bits is not None:
+        out = ProfileSet(self.k, self.qbound)
+        if self._bits is not None:
             base_idx = self._pack(base)
             a, b = self._bits, other._bits
             if a.bit_count() > b.bit_count():
@@ -241,35 +203,26 @@ class ProfileSet:
                 a ^= low
             out._bits = acc
             return out
-        for p1, w1 in self.items():
-            for p2, w2 in other.items():
-                np = tuple(a + b - c for a, b, c in zip(p1, p2, base))
-                nw = None
-                if out.track_witnesses and w1 is not None and w2 is not None:
-                    nw = merge_colorings(w1, w2)
-                out._insert(np, nw)
+        out._set = {
+            tuple(a + b - c for a, b, c in zip(p1, p2, base))
+            for p1 in self._set
+            for p2 in other._set
+        }
         return out
 
-    def remapped(self, mapping) -> "ProfileSet":
-        """Rewrite witness vertex ids through `mapping` (sequence or dict)."""
-        if self._map is None or not self.track_witnesses:
-            return self
-        out = ProfileSet(self.k, self.qbound, True)
-        for p, w in self._map.items():
-            nw = None
-            if w is not None:
-                nw = tuple(tuple(sorted(mapping[v] for v in cls)) for cls in w)
-            out._map[p] = nw
-        return out
+    def split(self, profile, other: "ProfileSet", minus=None):
+        """Undo `self.combine(other, minus)` for one of its profiles.
 
-    def map_witnesses(self, fn) -> "ProfileSet":
-        """Apply fn(coloring)->coloring to every witness; profiles unchanged."""
-        if self._map is None or not self.track_witnesses:
-            return self
-        out = ProfileSet(self.k, self.qbound, True)
-        for p, w in self._map.items():
-            out._map[p] = fn(w) if w is not None else None
-        return out
+        Returns (left, right) with left in self, right in other and
+        left + right - minus == profile, taking the lexicographically
+        smallest such left; None if the profile is no such sum.
+        """
+        base = tuple(minus) if minus is not None else (0,) * self.k
+        for left in self.profiles():
+            right = tuple(p - a + c for p, a, c in zip(profile, left, base))
+            if right in other:
+                return left, right
+        return None
 
     # -- selection --------------------------------------------------------
 
@@ -297,7 +250,7 @@ class ProfileSet:
         profile is at least as large in all entries but the last, so a
         profile survives iff its last entry beats every earlier last
         entry (a sorted sweep, after Kung, Luccio and Preparata, 1975).
-        Stored witnesses and a traceback carry over unchanged.
+        A traceback carries over unchanged.
         """
         if len(self) <= 1:
             return self
@@ -312,48 +265,34 @@ class ProfileSet:
             for p in reversed(self.profiles()):
                 if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
                     kept.append(p)
-        out = ProfileSet(self.k, self.qbound, self.track_witnesses)
+        out = ProfileSet(self.k, self.qbound)
         out.traceback = self.traceback
         for p in kept:
-            out.add(p, None if self._map is None else self._map[p])
+            out.add(p)
         return out
-
-
-_ABSENT = object()
-
-
-def merge_components(sets) -> ProfileSet:
-    """Left-fold of the vector-sum merge over per-component profile sets."""
-    sets = list(sets)
-    if not sets:
-        raise EmptySetError("no component sets to merge")
-    acc = sets[0]
-    for s in sets[1:]:
-        acc = acc.combine(s)
-    return acc
 
 
 class ProfileSpace:
     """Factory and policy knobs for the sets produced during one DP run."""
 
-    track_witnesses: bool
+    # Sets hold no witnesses; solvers that need one attach a traceback.
+    track_witnesses = False
 
-    def __init__(self, k: int, qbound: int, track_witnesses=False, prune=False):
+    def __init__(self, k: int, qbound: int, prune=False):
         self.k = k
         self.qbound = qbound
-        self.track_witnesses = track_witnesses
         self.prune = prune
 
     @classmethod
-    def for_instance(cls, instance, track_witnesses=False, prune=False):
-        return cls(instance.k, instance.qbound, track_witnesses, prune)
+    def for_instance(cls, instance, prune=False):
+        return cls(instance.k, instance.qbound, prune)
 
     def empty(self) -> ProfileSet:
-        return ProfileSet(self.k, self.qbound, self.track_witnesses)
+        return ProfileSet(self.k, self.qbound)
 
     def zero(self) -> ProfileSet:
         s = self.empty()
-        s.add((0,) * self.k, empty_coloring(self.k) if self.track_witnesses else None)
+        s.add((0,) * self.k)
         return s
 
     def finalize(self, pset):

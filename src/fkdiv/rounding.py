@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 
 from .errors import EmptySetError, ParameterOutOfRangeError
-from .profiles import merge_colorings, with_vertex
 
 ZERO = -1  # grid index for an exact class total of zero
 B = 64  # fraction bits of the grid ratio r = num / 2^B
@@ -185,6 +184,23 @@ class RoundingGrid:
         return self._power(e) <= q << B * e
 
 
+def with_vertex(coloring, cls0: int, v: int):
+    """Coloring with vertex v inserted into class cls0 (0-based)."""
+    cur = coloring[cls0]
+    i = 0
+    while i < len(cur) and cur[i] < v:
+        i += 1
+    new = cur[:i] + (v,) + cur[i:]
+    return coloring[:cls0] + (new,) + coloring[cls0 + 1 :]
+
+
+def merge_colorings(c1, c2):
+    """Per-class union of two colorings (shared vertices collapse)."""
+    return tuple(
+        tuple(sorted(set(a) | set(b))) for a, b in zip(c1, c2, strict=True)
+    )
+
+
 def _better(new_true, new_witness, old_true, old_witness) -> bool:
     """Collision rule: higher minimum, then lex-larger true profile, then
     lex-smaller witness. Independent of insertion order."""
@@ -260,16 +276,8 @@ class RoundedStateSet:
                 out.insert(self.grid.round_profile(true), true, nw)
         return out
 
-    def remapped(self, mapping) -> "RoundedStateSet":
-        out = RoundedStateSet(self.k, self.grid)
-        for key, (true, w) in self._map.items():
-            nw = w
-            if w is not None:
-                nw = tuple(tuple(sorted(mapping[v] for v in cls)) for cls in w)
-            out._map[key] = (true, nw)
-        return out
-
     def map_witnesses(self, fn) -> "RoundedStateSet":
+        """Apply fn(coloring)->coloring to every witness; keys unchanged."""
         out = RoundedStateSet(self.k, self.grid)
         for key, (true, w) in self._map.items():
             out._map[key] = (true, fn(w) if w is not None else None)

@@ -15,6 +15,7 @@ from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.instance_io import ParsedInstance
 from fkdiv.orientation import is_cocomparability
+from fkdiv.profiles import check_coloring, profile_of
 from fkdiv.treedp import solve_chordal, solve_treewidth
 
 CORPUS_FAMILIES = ("edgeless", "interval", "chordal", "biconvex", "random")
@@ -85,6 +86,17 @@ def applicable_solvers(parsed: ParsedInstance):
             )
         )
     return out
+
+
+def assert_witnesses(instance, pset, limit=None):
+    """Every witness `pset` gives, for its first `limit` profiles (all
+    when None) and for its best one, is a valid coloring of `instance`
+    that realizes its profile."""
+    pairs = list(itertools.islice(pset.items(), limit))
+    pairs.append(pset.best()[1:])
+    for profile, witness in pairs:
+        check_coloring(instance.graph, witness)
+        assert profile_of(instance, witness) == profile
 
 
 def structured_solver(parsed: ParsedInstance):

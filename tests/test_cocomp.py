@@ -3,9 +3,9 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import assert_witnesses, random_instance
 import fkdiv.cocomp as cocomp
-import fkdiv.profiles as profiles
+import fkdiv.rounding as rounding
 from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
@@ -14,7 +14,7 @@ from fkdiv.orientation import (
     is_cocomparability,
     topological_sort,
 )
-from fkdiv.profiles import ProfileSpace, check_coloring, profile_of, uses_bitset
+from fkdiv.profiles import ProfileSpace, uses_bitset
 
 
 def test_path_instance_matches_hand_computed():
@@ -77,10 +77,8 @@ def test_matches_brute_force_profiles_and_value(seed):
     want = brute_force(inst)
     ps = solve_cocomparability(inst, witnesses=True)
     assert frozenset(ps.profiles()) == want.profiles
-    value, profile, witness = ps.best()
-    assert value == want.optimum
-    check_coloring(inst.graph, witness)
-    assert profile_of(inst, witness) == profile
+    assert ps.best()[0] == want.optimum
+    assert_witnesses(inst, ps, limit=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,10 +87,7 @@ def test_witnesses_cover_every_profile(seed):
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(1, 6), rng.randint(1, 2), 5, 0.4)
     assume(is_cocomparability(inst.graph))
-    ps = solve_cocomparability(inst, witnesses=True)
-    for profile, witness in ps.items():
-        check_coloring(inst.graph, witness)
-        assert profile_of(inst, witness) == profile
+    assert_witnesses(inst, solve_cocomparability(inst, witnesses=True))
 
 
 def pareto(profiles):
@@ -105,12 +100,8 @@ def pareto(profiles):
 def assert_traced(inst, prune, want_profiles):
     ps = solve_cocomparability(inst, witnesses=True, prune=prune)
     assert frozenset(ps.profiles()) == want_profiles
-    for profile, witness in ps.items():
-        check_coloring(inst.graph, witness)
-        assert profile_of(inst, witness) == profile
-    value, profile, witness = ps.best()
-    assert value == max(min(p) for p in want_profiles)
-    assert profile_of(inst, witness) == profile
+    assert ps.best()[0] == max(min(p) for p in want_profiles)
+    assert_witnesses(inst, ps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,9 +127,8 @@ def test_traceback_with_all_zero_profits():
     for prune in (False, True):
         ps = solve_cocomparability(inst, witnesses=True, prune=prune)
         assert ps.profiles() == [(0, 0)]
-        value, profile, witness = ps.best()
-        assert (value, profile) == (0, (0, 0))
-        check_coloring(inst.graph, witness)
+        assert ps.best()[:2] == (0, (0, 0))
+        assert_witnesses(inst, ps)
 
 
 def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
@@ -160,13 +150,11 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
             tables.append(table)
             yield j, v, table
 
-    with_vertex = profiles.with_vertex
-    monkeypatch.setattr(profiles, "with_vertex", counting_with_vertex)
+    with_vertex = rounding.with_vertex
+    monkeypatch.setattr(rounding, "with_vertex", counting_with_vertex)
     monkeypatch.setattr(cocomp, "iter_layer_tables", capturing)
     ps = solve_cocomparability(inst, witnesses=True, prune=True)
-    value, profile, witness = ps.best()
+    assert_witnesses(inst, ps, limit=0)
     assert copies == []
     assert len(tables[-1]) > 1
     assert all(cell._bits is not None for cell in tables[-1].values())
-    check_coloring(inst.graph, witness)
-    assert profile_of(inst, witness) == profile

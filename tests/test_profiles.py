@@ -11,15 +11,13 @@ from fkdiv.profiles import (
     ProfileSet,
     ProfileSpace,
     check_coloring,
-    merge_components,
     profile_of,
     satisfaction,
-    with_vertex,
 )
 
 
-def filled(k, qbound, profiles, track_witnesses=False):
-    ps = ProfileSet(k, qbound, track_witnesses)
+def filled(k, qbound, profiles):
+    ps = ProfileSet(k, qbound)
     for p in profiles:
         ps.add(tuple(p))
     return ps
@@ -28,10 +26,6 @@ def filled(k, qbound, profiles, track_witnesses=False):
 def test_satisfaction_examples():
     assert satisfaction((0, 5)) == 0
     assert satisfaction((7,)) == 7
-
-
-def test_with_vertex_keeps_sorted():
-    assert with_vertex(((1, 3), ()), 0, 2) == ((1, 2, 3), ())
 
 
 def test_profile_of_and_check():
@@ -50,15 +44,6 @@ def test_minkowski_merge_example():
     b = filled(2, 9, [(2, 0), (0, 2)])
     merged = a.combine(b)
     assert set(merged.profiles()) == {(3, 0), (1, 2), (2, 1), (0, 3)}
-
-
-def test_merge_components_single_and_pair():
-    a = filled(1, 5, [(2,), (3,)])
-    assert merge_components([a]) == a
-    b = filled(1, 5, [(1,)])
-    assert set(merge_components([a, b]).profiles()) == {(3,), (4,)}
-    with pytest.raises(EmptySetError):
-        merge_components([])
 
 
 def test_best_examples():
@@ -109,30 +94,11 @@ def test_extended_and_combine_small():
     assert set(minus.profiles()) == {(3, 0), (4, 2)}
 
 
-def test_witness_tracking_keeps_lexicographically_smallest():
-    ps = ProfileSet(1, 9, track_witnesses=True)
-    ps.add((4,), ((2, 3),))
-    ps.add((4,), ((1, 5),))
-    ps.add((4,), ((6,),))
-    assert ps.witness_for((4,)) == ((1, 5),)
-
-
-def test_remapped_and_map_witnesses():
-    ps = ProfileSet(1, 9, track_witnesses=True)
-    ps.add((4,), ((0, 1),))
-    out = ps.remapped({0: 5, 1: 2})
-    assert out.witness_for((4,)) == ((2, 5),)
-    out2 = out.map_witnesses(lambda w: tuple(tuple(v + 1 for v in c) for c in w))
-    assert out2.witness_for((4,)) == ((3, 6),)
-
-
 def test_bitset_mode_engages_only_when_small():
     small = ProfileSet(2, 3)
     big = ProfileSet(3, 200)
-    tracking = ProfileSet(2, 3, track_witnesses=True)
     assert small._bits is not None
     assert big._bits is None
-    assert tracking._bits is None
     assert (3 + 1) ** 2 <= BITSET_LIMIT < (200 + 1) ** 3
 
 
@@ -150,11 +116,11 @@ def test_bitset_and_map_modes_agree(data):
     amount = data.draw(st.integers(min_value=0, max_value=qbound))
     cls0 = data.draw(st.integers(min_value=0, max_value=k - 1))
     bit = ProfileSet(k, 2 * qbound)
-    mapped = ProfileSet(k, 2 * qbound, track_witnesses=True)
+    mapped = ProfileSet(k, BITSET_LIMIT)
     assert bit._bits is not None and mapped._bits is None
-    for i, row in enumerate(rows):
+    for row in rows:
         bit.add(row)
-        mapped.add(row, tuple((i,) if j == 0 else () for j in range(k)))
+        mapped.add(row)
     assert bit.profiles() == mapped.profiles()
     assert (
         bit.extended(cls0, amount).profiles()
@@ -192,9 +158,9 @@ def reference_prune(ps):
     for p in sorted(ps.profiles(), reverse=True):
         if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
             kept.append(p)
-    out = ProfileSet(ps.k, ps.qbound, ps.track_witnesses)
+    out = ProfileSet(ps.k, ps.qbound)
     for p in kept:
-        out.add(p, ps.witness_for(p))
+        out.add(p)
     return out
 
 
@@ -203,16 +169,48 @@ def reference_prune(ps):
 def test_prune_matches_reference_loop(data):
     k = data.draw(st.integers(min_value=1, max_value=3))
     qbound = data.draw(st.sampled_from([1, 3, 6, 400]))
-    track = data.draw(st.booleans())
+    set_mode = data.draw(st.booleans())
     rows = data.draw(
         st.lists(
             st.tuples(*[st.integers(min_value=0, max_value=qbound)] * k),
             max_size=30,
         )
     )
-    ps = ProfileSet(k, qbound, track_witnesses=track)
-    for i, row in enumerate(rows):
-        ps.add(row, tuple((i % 7,) if j == i % k else () for j in range(k)))
+    ps = ProfileSet(k, BITSET_LIMIT if set_mode else qbound)
+    for row in rows:
+        ps.add(row)
+    ps.traceback = repr
     got, want = ps.prune_dominated(), reference_prune(ps)
     assert got.profiles() == want.profiles()
-    assert [got.witness_for(p) for p in got] == [want.witness_for(p) for p in want]
+    assert got.traceback is repr
+
+
+@pytest.mark.parametrize("qbound", [3, BITSET_LIMIT])
+def test_contains_rejects_foreign_profiles_in_both_modes(qbound):
+    ps = filled(2, qbound, [(1, 1)])
+    assert (ps._bits is not None) == (qbound == 3)
+    assert (1, 1) in ps and [1, 1] in ps
+    for probe in [(0, 5), (-1, 9), (1, 1, 0), (1,), (2, -3), (1, qbound + 1)]:
+        assert probe not in ps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_undoes_combine(data):
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    row = st.tuples(*[st.integers(min_value=0, max_value=4)] * k)
+    base = data.draw(row)
+    lefts = data.draw(st.lists(row, min_size=1, max_size=6))
+    rights = data.draw(st.lists(row, min_size=1, max_size=6))
+    for qbound in (3 * 8, BITSET_LIMIT):
+        a = filled(k, qbound, [tuple(x + y for x, y in zip(r, base)) for r in lefts])
+        b = filled(k, qbound, [tuple(x + y for x, y in zip(r, base)) for r in rights])
+        for p in a.combine(b, minus=base):
+            left, right = a.split(p, b, minus=base)
+            assert left in a and right in b
+            assert tuple(x + y - z for x, y, z in zip(left, right, base)) == p
+            assert left == min(
+                q for q in a
+                if tuple(x - y + z for x, y, z in zip(p, q, base)) in b
+            )
+        assert a.split((qbound,) * k, b, minus=base) is None

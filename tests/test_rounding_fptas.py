@@ -20,6 +20,7 @@ from fkdiv.rounding import (
     RoundedProfileSpace,
     RoundingGrid,
     nth_root_floor,
+    with_vertex,
 )
 from fkdiv.treedp import solve_treewidth
 
@@ -32,6 +33,10 @@ from fkdiv.treedp import solve_treewidth
 def test_nth_root_floor(x, r):
     g = nth_root_floor(x, r)
     assert g**r <= x < (g + 1) ** r
+
+
+def test_with_vertex_keeps_sorted():
+    assert with_vertex(((1, 3), ()), 0, 2) == ((1, 2, 3), ())
 
 
 def test_parse_epsilon():

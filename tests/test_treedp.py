@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import assert_witnesses, random_instance
+import fkdiv.rounding as rounding
+import fkdiv.treedp as treedp
 from fkdiv.decomposition import (
     TreeDecomposition,
     is_chordal,
@@ -14,7 +16,7 @@ from fkdiv.decomposition import (
 from fkdiv.errors import DecompositionError
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
-from fkdiv.profiles import check_coloring, profile_of
+from fkdiv.profiles import uses_bitset
 from fkdiv.treedp import bag_profile, solve_chordal, solve_on_decomposition, solve_treewidth
 
 
@@ -66,10 +68,8 @@ def test_treewidth_matches_brute_force(seed):
     want = brute_force(inst)
     ps = solve_treewidth(inst, witnesses=True)
     assert frozenset(ps.profiles()) == want.profiles
-    value, profile, witness = ps.best()
-    assert value == want.optimum
-    check_coloring(inst.graph, witness)
-    assert profile_of(inst, witness) == profile
+    assert ps.best()[0] == want.optimum
+    assert_witnesses(inst, ps, limit=0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,3 +93,33 @@ def test_pruned_treewidth_keeps_value():
             solve_treewidth(inst, prune=True).best()[0]
             == solve_treewidth(inst).best()[0]
         )
+
+
+def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
+    inst = Instance(
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]),
+        ((3, 1, 4, 1, 5, 9), (2, 6, 5, 3, 5, 8)),
+    )
+    assert is_chordal(inst.graph) and uses_bitset(inst.k, inst.qbound)
+    copies = []
+
+    def counting_with_vertex(*args):
+        copies.append(args)
+        return with_vertex(*args)
+
+    kept = []
+
+    def capturing(instance, nice, tables):
+        kept.append(tables)
+        return walk_back(instance, nice, tables)
+
+    with_vertex, walk_back = rounding.with_vertex, treedp.walk_back
+    monkeypatch.setattr(rounding, "with_vertex", counting_with_vertex)
+    monkeypatch.setattr(treedp, "walk_back", capturing)
+    ps = solve_chordal(inst, witnesses=True, prune=True)
+    assert_witnesses(inst, ps, limit=0)
+    assert copies == []
+    (tables,) = kept
+    cells = [cell for table in tables.values() for cell in table.values()]
+    assert len(cells) > len(tables) > 1
+    assert all(cell._bits is not None for cell in cells)
