@@ -5,6 +5,12 @@ n^(k+2) * (Q+1)^k operation-count trend, where Q is the largest
 per-class profit total. Run directly for a small table:
 
     python3 scripts/scaling_smoke.py
+
+With --epsilon it instead compares the exact pruned ordered solver
+with the FPTAS on the same instances, over sizes, per-item profit caps
+(and so Q) and accuracies:
+
+    python3 scripts/scaling_smoke.py --sizes 20 30 --max-profits 10 500 --epsilon 1/2 2
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from fkdiv.cocomp import solve_cocomparability
+from fkdiv.errors import ParameterOutOfRangeError
+from fkdiv.fptas import solve_approx
 from fkdiv.generators import build_family
 
 # Below this, timer noise dominates; treat faster baselines as this slow.
@@ -60,12 +68,69 @@ def worst_trend_factor(rows: list[ScalingRow], k: int = 2) -> float:
     return worst
 
 
+@dataclass(frozen=True)
+class FptasRow:
+    n: int
+    qbound: int
+    epsilon: str
+    exact_seconds: float
+    fptas_seconds: float | None  # None: the grid for this accuracy is refused
+    states: int | None
+    exact_value: int
+    fptas_value: int | None
+
+
+def fptas_rows(sizes, max_profits, epsilons, k: int = 2, seed: int = 0):
+    """Exact pruned solve vs FPTAS per interval instance and accuracy,
+    one row at a time."""
+    for n in sizes:
+        for max_profit in max_profits:
+            inst = build_family("interval", n, k, max_profit, seed).instance
+            started = perf_counter()
+            exact = solve_cocomparability(inst, witnesses=True, prune=True).best()[0]
+            exact_seconds = perf_counter() - started
+            for eps in epsilons:
+                started = perf_counter()
+                try:
+                    approx = solve_approx(inst, eps)
+                except ParameterOutOfRangeError:
+                    yield FptasRow(n, inst.qbound, eps, exact_seconds, None, None, exact, None)
+                    continue
+                yield FptasRow(
+                    n, inst.qbound, eps, exact_seconds, perf_counter() - started,
+                    len(approx.states), exact, approx.value,
+                )
+
+
+def print_fptas_table(rows) -> None:
+    print(f"{'n':>4} {'Q':>6} {'eps':>5} {'exact s':>8} {'fptas s':>8}"
+          f" {'ratio':>6} {'states':>6} {'opt':>6} {'value':>6}", flush=True)
+    for r in rows:
+        head = f"{r.n:>4} {r.qbound:>6} {r.epsilon:>5} {r.exact_seconds:>8.4f}"
+        if r.fptas_seconds is None:
+            print(f"{head}  grid refused: too many indices per class", flush=True)
+            continue
+        ratio = r.fptas_seconds / max(r.exact_seconds, 1e-9)
+        print(f"{head} {r.fptas_seconds:>8.4f} {ratio:>6.2f} {r.states:>6}"
+              f" {r.exact_value:>6} {r.fptas_value:>6}", flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 40])
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--epsilon", nargs="+", default=None,
+                    help="accuracies for the exact-vs-FPTAS table, e.g. 1/2 2")
+    ap.add_argument("--max-profits", type=int, nargs="+", default=[1, 10, 100],
+                    help="per-item profit caps for the FPTAS table")
     args = ap.parse_args()
+
+    if args.epsilon is not None:
+        print_fptas_table(fptas_rows(
+            args.sizes, args.max_profits, args.epsilon, k=args.k, seed=args.seed
+        ))
+        return 0
 
     rows = run_sweep(tuple(args.sizes), k=args.k, seed=args.seed)
     print(f"{'n':>4} {'Q':>5} {'seconds':>9} {'value':>6}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from itertools import product
 
 from .bipartite import biconvex_structure, require_biconvex_ordering
-from .errors import EmptySetError
 from .graphs import Instance
 from .orientation import complement_orientation, topological_sort
 from .profiles import ProfileSpace
@@ -105,7 +104,8 @@ def solve_biconvex_connected(
     set traces a profile by replaying the first guess, in
     `enumerate_guesses` order, whose set holds it: the replay records
     the boundary and sweep steps, which are undone last first, and the
-    rest comes from the middle solve's ordered traceback.
+    rest comes from the middle solve's ordered traceback. A guess is
+    replayed at most once per returned set.
     """
     graph = instance.graph
     k = instance.k
@@ -173,14 +173,19 @@ def solve_biconvex_connected(
     if not witnesses:
         return result
 
+    replays = {}  # (upper, lower) -> (steps, middle set, relabeling)
+
     def witness(profile):
         for upper, lower, final in finals:
             if profile in final:
                 break
         else:
             raise KeyError(profile)
-        steps = []
-        _cur, middle, relabel = run_guess(upper, lower, steps)
+        if (upper, lower) not in replays:
+            steps = []
+            _cur, middle, relabel = run_guess(upper, lower, steps)
+            replays[upper, lower] = steps, middle, relabel
+        steps, middle, relabel = replays[upper, lower]
         rest, placed = _undo_steps(instance, steps, profile)
         mid = relabel(middle.witness_for(rest))
         return tuple(tuple(sorted([*a, *b])) for a, b in zip(placed, mid))
@@ -234,8 +239,9 @@ def solve_biconvex(
             # component the result may be this very set.
             traces.append(lambda p, t=part.traceback, r=_relabel(ids): r(t(p)))
         parts.append(part)
-    if not parts:
-        raise EmptySetError("an instance without vertices has no components")
+    if not parts:  # no vertices: the empty coloring alone
+        parts.append(space.zero())
+        traces.append(lambda p: ((),) * instance.k)
     folds = [parts[0]]
     for part in parts[1:]:
         folds.append(folds[-1].combine(part))

@@ -144,7 +144,7 @@ def run_solve(args) -> int:
 
     emit_profiles = None
     if args.epsilon is not None:
-        result = solve_approx(instance, args.epsilon, solver=solver)
+        result = solve_approx(instance, args.epsilon, solver=solver, prune=prune)
         value, profile, witness = result.value, result.profile, result.witness
         profile_count = None
     elif algo == "bruteforce":

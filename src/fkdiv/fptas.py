@@ -8,6 +8,23 @@ realizable and, for the ordered solver, at least the optimum divided by
 Fraction; binary floats would silently change the grid. An accuracy
 whose grid would need more than MAX_INDEX_RANGE indices per class is
 refused with ParameterOutOfRangeError.
+
+By default every cell is pruned by joint dominance: a state (key K,
+truth T) is dropped when another state of its cell has K' >= K and
+T' >= T in every entry. The (1+eps) bound of the ordered solver still
+holds. Take an optimal coloring and the key sequence K*_0, K*_1, ...
+that its own items would produce cell by cell through
+`RoundingGrid.extend`; the last key satisfies r^K* >= opt/(1+eps) in
+every class, since each class loses at most one factor r per item and
+r^n <= 1+eps. By induction, the pruned run holds in each of those cells
+a state with key >= K*_i: a prune drops a state only for one with a key
+at least as large, a collision keeps the key and replaces only the
+truth, and `extend` is monotone in its index, so extending the covering
+state by the optimum's next item gives a key >= K*_(i+1). Every state
+keeps r^K <= T, so the final covering state has a truth whose minimum
+is at least opt/(1+eps). A prune on truths alone would break the
+induction: a state with the larger truth may carry the smaller key,
+since a key records how its truth was rounded on the way.
 """
 
 from __future__ import annotations
@@ -55,16 +72,17 @@ class FptasResult:
 
 
 def solve_approx(
-    instance: Instance, epsilon, solver=solve_cocomparability, **solver_kwargs
+    instance: Instance, epsilon, solver=solve_cocomparability, prune=True, **solver_kwargs
 ) -> FptasResult:
     """Run `solver` on the rounded space and select the best true value.
 
     The witness is a valid partial coloring and `value` is its exact
-    minimum profit, so the result never overshoots the optimum.
+    minimum profit, so the result never overshoots the optimum. With
+    `prune`, every cell drops its jointly dominated states.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
-    space = RoundedProfileSpace(instance.k, grid)
+    space = RoundedProfileSpace(instance.k, grid, prune)
     states = solver(instance, space=space, **solver_kwargs)
     value, true, witness = states.best_true()
     return FptasResult(
@@ -77,7 +95,7 @@ def solve_approx(
     )
 
 
-def paired_rounding_check(instance: Instance, epsilon) -> dict:
+def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
     """Run the ordered solver exactly and rounded in lockstep and verify
     the rounding invariants layer by layer.
 
@@ -86,14 +104,15 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     one holds); every rounded entry keeps a grid value at most its true
     profit; the true profit stays within one grid factor per item added
     to that class; and the sentinel index appears exactly for classes
-    with true profit zero. Returns counters of everything checked.
+    with true profit zero. `prune` is passed to the rounded space, as in
+    `solve_approx`. Returns counters of everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
     orientation = complement_orientation(instance.graph)
     order = topological_sort(instance.graph.n, orientation.arcs)
     exact_space = ProfileSpace.for_instance(instance)
-    rounded_space = RoundedProfileSpace(instance.k, grid)
+    rounded_space = RoundedProfileSpace(instance.k, grid, prune)
 
     exact_run = iter_layer_tables(instance, order, orientation, exact_space)
     rounded_run = iter_layer_tables(instance, order, orientation, rounded_space)

@@ -9,6 +9,8 @@ may attach a traceback callable that recovers one when it is asked for.
 
 from __future__ import annotations
 
+from operator import ge
+
 from .errors import EmptySetError
 
 # Dense-bitmap cutover: use the packed bitmap only while (qbound+1)^k
@@ -31,6 +33,20 @@ def profile_of(instance, coloring):
         sum(instance.profits[j][v] for v in coloring[j])
         for j in range(instance.k)
     )
+
+
+def maximal(vectors) -> list:
+    """The vectors that no other one dominates componentwise.
+
+    `vectors` must be distinct and in descending lexicographic order, so
+    that only an earlier vector can dominate a later one; each is kept
+    unless a kept one is at least as large in every entry. O(m * kept).
+    """
+    kept = []
+    for p in vectors:
+        if not any(all(map(ge, q, p)) for q in kept):
+            kept.append(p)
+    return kept
 
 
 def check_coloring(graph, coloring) -> None:
@@ -254,17 +270,15 @@ class ProfileSet:
         """
         if len(self) <= 1:
             return self
-        kept = []
         if self.k <= 2:
+            kept = []
             top = -1
             for p in reversed(self.profiles()):
                 if p[-1] > top:
                     kept.append(p)
                     top = p[-1]
         else:
-            for p in reversed(self.profiles()):
-                if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
-                    kept.append(p)
+            kept = maximal(reversed(self.profiles()))
         out = ProfileSet(self.k, self.qbound)
         out.traceback = self.traceback
         for p in kept:

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import EmptySetError, ParameterOutOfRangeError
+from .profiles import maximal
 
 ZERO = -1  # grid index for an exact class total of zero
 B = 64  # fraction bits of the grid ratio r = num / 2^B
@@ -283,6 +284,22 @@ class RoundedStateSet:
             out._map[key] = (true, fn(w) if w is not None else None)
         return out
 
+    def prune_dominated(self) -> "RoundedStateSet":
+        """Keep the states that no other state dominates jointly.
+
+        A state (key K, truth T) is dropped when another state has
+        K' >= K and T' >= T in every entry. Keys are distinct, so this is
+        a strict partial order and the kept states are its maximal
+        elements; every dropped key stays covered by a kept larger one.
+        """
+        if len(self._map) <= 1:
+            return self
+        k = self.k
+        joint = sorted((key + true for key, (true, _w) in self._map.items()), reverse=True)
+        out = RoundedStateSet(k, self.grid)
+        out._map = {v[:k]: self._map[v[:k]] for v in maximal(joint)}
+        return out
+
     def best_true(self):
         """(value, true_profile, witness) with the best true minimum."""
         if not self._map:
@@ -296,14 +313,18 @@ class RoundedStateSet:
 
 
 class RoundedProfileSpace:
-    """Space protocol adapter so exact solvers run unchanged on the grid."""
+    """Space protocol adapter so exact solvers run unchanged on the grid.
+
+    With `prune`, every finished cell keeps only its jointly undominated
+    states (`RoundedStateSet.prune_dominated`).
+    """
 
     track_witnesses = True
 
-    def __init__(self, k: int, grid: RoundingGrid):
+    def __init__(self, k: int, grid: RoundingGrid, prune=True):
         self.k = k
         self.grid = grid
-        self.prune = False
+        self.prune = prune
 
     def empty(self) -> RoundedStateSet:
         return RoundedStateSet(self.k, self.grid)
@@ -314,4 +335,6 @@ class RoundedProfileSpace:
         return s
 
     def finalize(self, state_set):
+        if self.prune:
+            return state_set.prune_dominated()
         return state_set

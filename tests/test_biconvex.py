@@ -3,13 +3,16 @@ import random
 import pytest
 
 from conftest import assert_witnesses
+from fkdiv import biconvex
 from fkdiv.biconvex import enumerate_guesses, solve_biconvex, solve_biconvex_connected
 from fkdiv.bipartite import biconvex_structure, verify_biconvex_ordering
+from fkdiv.cocomp import solve_cocomparability
 from fkdiv.errors import OrderingNotBiconvexError, StructureMismatchError
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.profiles import ProfileSpace
+from fkdiv.treedp import solve_treewidth
 
 
 def test_verify_ordering_cases():
@@ -117,3 +120,37 @@ def test_pruned_solve_keeps_value():
         full = solve_biconvex(inst, parsed.order_a, parsed.order_b)
         lean = solve_biconvex(inst, parsed.order_a, parsed.order_b, prune=True)
         assert full.best()[0] == lean.best()[0]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_instance_without_vertices_gives_the_empty_coloring(k):
+    inst = Instance(Graph(0, []), ((),) * k)
+    empty = (0, (0,) * k, ((),) * k)
+    for prune in (False, True):
+        assert solve_biconvex(inst, (), (), witnesses=True, prune=prune).best() == empty
+        assert solve_cocomparability(inst, witnesses=True, prune=prune).best() == empty
+        assert solve_treewidth(inst, witnesses=True, prune=prune).best() == empty
+
+
+def test_items_replays_each_guess_once(monkeypatch):
+    parsed = build_family("biconvex", 18, 2, 4, 2)
+    inst, orders = parsed.instance, (parsed.order_a, parsed.order_b)
+    replays = []
+
+    def counted(*args, **kwargs):
+        if kwargs.get("witnesses"):
+            replays.append(1)
+        return solve_cocomparability(*args, **kwargs)
+
+    monkeypatch.setattr(biconvex, "solve_cocomparability", counted)
+    ps = solve_biconvex(inst, *orders, witnesses=True, prune=True)
+    assert not replays
+    pairs = list(ps.items())
+    first = len(replays)
+    assert 0 < first < len(pairs)
+    assert list(ps.items()) == pairs
+    assert len(replays) == first
+    assert_witnesses(inst, ps)
+    # A fresh set, asked for one profile only, traces the same coloring.
+    profile, witness = pairs[len(pairs) // 2]
+    assert solve_biconvex(inst, *orders, witnesses=True, prune=True).witness_for(profile) == witness

@@ -434,6 +434,24 @@ def test_cli_negative_budget_exit_2(tmp_path):
     assert "--budget" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_cli_epsilon_passes_no_prune_to_the_fptas(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append((kwargs["prune"], len(result.states)))
+        return result
+
+    original = cli.solve_approx
+    monkeypatch.setattr(cli, "solve_approx", spy)
+    path = write_family(tmp_path, "permutation", 14, 1)
+    for extra in ((), ("--no-prune",)):
+        code, _out = solve_in_process(capsys, path, "--epsilon", "1/2", *extra)
+        assert code == 0
+    assert [prune for prune, _ in seen] == [True, False]
+    assert seen[0][1] < seen[1][1]
+
+
 def write_family(tmp_path, family, n, seed):
     path = tmp_path / f"{family}-{n}-{seed}.fk"
     path.write_text(serialize_instance(build_family(family, n, 2, 5, seed)))

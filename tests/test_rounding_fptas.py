@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from conftest import random_instance
 from fkdiv.cocomp import solve_cocomparability
 from fkdiv.errors import ParameterOutOfRangeError
 from fkdiv.fptas import paired_rounding_check, parse_epsilon, solve_approx
+from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import is_cocomparability
@@ -18,6 +22,7 @@ from fkdiv.rounding import (
     MAX_INDEX_RANGE,
     ZERO,
     RoundedProfileSpace,
+    RoundedStateSet,
     RoundingGrid,
     nth_root_floor,
     with_vertex,
@@ -188,3 +193,97 @@ def test_paired_check_catches_epsilon_scaling():
     for eps in ("0.1", "0.5", "1.0", "2"):
         stats = paired_rounding_check(inst, eps)
         assert stats["cells"] > 0
+
+
+def reference_prune(states):
+    """Frozen O(m^2) joint-dominance filter over {key: (truth, witness)}:
+    a state goes when another has a key and a truth at least as large
+    in every entry."""
+    return {
+        key: (true, w)
+        for key, (true, w) in states.items()
+        if not any(
+            other != key and all(a >= b for a, b in zip(other + t, key + true))
+            for other, (t, _w) in states.items()
+        )
+    }
+
+
+@st.composite
+def state_maps(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    keys = draw(
+        st.lists(st.tuples(*[st.integers(ZERO, 5)] * k), unique=True, max_size=30)
+    )
+    truths = draw(
+        st.lists(st.tuples(*[st.integers(0, 7)] * k), min_size=len(keys), max_size=len(keys))
+    )
+    return k, {key: (true, (key,)) for key, true in zip(keys, truths)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_maps())
+def test_prune_keeps_exactly_the_jointly_undominated_states(case):
+    k, states = case
+    rounded = RoundedStateSet(k, RoundingGrid(Fraction(1, 2), 4, (8,)))
+    for key, (true, w) in states.items():
+        rounded.insert(key, true, w)
+    pruned = rounded.prune_dominated()
+    assert {key: (t, w) for key, t, w in pruned.items()} == reference_prune(states)
+    assert len(rounded) == len(states)
+
+
+def check_fptas_against_exact(inst):
+    """Every accuracy's pruned FPTAS answer lies in [opt/(1+eps), opt],
+    and every state it keeps holds an exactly reachable truth with a
+    valid witness that realizes it."""
+    opt = solve_cocomparability(inst, prune=True).best()[0]
+    exact = solve_cocomparability(inst, prune=False)
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2)):
+        res = solve_approx(inst, eps)
+        assert res.value <= opt
+        assert res.value * (1 + eps) >= opt, (eps, res.value, opt)
+        for _key, true, witness in res.states.items():
+            assert true in exact
+            check_coloring(inst.graph, witness)
+            assert profile_of(inst, witness) == true
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=20, max_value=30),
+    st.integers(min_value=5, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_pruned_fptas_bound_on_permutation_graphs(n, max_profit, seed):
+    check_fptas_against_exact(build_family("permutation", n, 2, max_profit, seed).instance)
+
+
+def test_pruned_fptas_bound_three_agents():
+    check_fptas_against_exact(build_family("permutation", 22, 3, 4, 5).instance)
+
+
+def test_unpruned_space_leaves_states_alone():
+    inst = build_family("permutation", 12, 2, 40, 3).instance
+    pruned = solve_approx(inst, "1/2")
+    full = solve_approx(inst, "1/2", prune=False)
+    assert len(pruned.states) < len(full.states)
+    assert (pruned.value, pruned.profile) == (full.value, full.profile)
+    space = RoundedProfileSpace(inst.k, full.grid, prune=False)
+    assert space.finalize(full.states) is full.states
+    for prune in (True, False):
+        assert paired_rounding_check(inst, "1/2", prune=prune)["entries"] > 0
+
+
+def test_scaling_smoke_fptas_table_rows(monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scaling_smoke.py"
+    spec = importlib.util.spec_from_file_location("scaling_smoke", script)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    rows = list(mod.fptas_rows((8,), (5, 10**6), ("1/2", "1/1000000000")))
+    assert [(r.epsilon, r.fptas_value is None) for r in rows] == [
+        ("1/2", False), ("1/1000000000", True), ("1/2", False), ("1/1000000000", True)
+    ]
+    for r in rows[::2]:
+        assert r.fptas_value <= r.exact_value <= r.fptas_value * Fraction(3, 2)
