@@ -9,9 +9,9 @@ witnesses afterwards, the guessed vertices themselves are added on top,
 and the remaining tail vertices, whose neighborhoods the guesses cover,
 are swept in one by one. Components merge by summing profiles.
 
-Exact sets hold no witnesses: one is traced back when asked for, by
-splitting the profile across the components and replaying the steps of
-one guess inside a component.
+Sets, exact or rounded, hold no witnesses: one is traced back when
+asked for, by splitting the profile across the components and
+replaying the steps of one guess inside a component.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _sweep(cur, vertex, classes, instance, space, steps):
     merged = space.empty()
     merged.union_update(cur)
     for j in classes:
-        merged.union_update(cur.extended(j, instance.profit(j, vertex), vertex))
+        merged.union_update(cur.extended(j, instance.profit(j, vertex)))
     if steps is not None:
         steps.append((vertex, classes, cur))
     return merged
@@ -140,14 +140,13 @@ def solve_biconvex_connected(
             space=space,
             witnesses=steps is not None,
         )
-        relabel = _relabel(mid_ids, forbidden)
-        cur = middle.map_witnesses(relabel) if space.track_witnesses else middle
+        cur = middle
         for j in range(k):
             for boundary in (upper[j], lower[j]):
                 if boundary is not None:
                     if steps is not None:
                         steps.append((boundary, (j,), None))
-                    cur = cur.extended(j, instance.profit(j, boundary), boundary)
+                    cur = cur.extended(j, instance.profit(j, boundary))
         # Sweep the other tail vertices, from each tail's outer end in,
         # into any class whose guessed bound covers them.
         real = {v for v in (*upper, *lower) if v is not None}
@@ -160,7 +159,7 @@ def solve_biconvex_connected(
                 ]
                 if classes and a not in real:
                     cur = _sweep(cur, a, classes, instance, space, steps)
-        return cur, middle, relabel
+        return cur, middle, _relabel(mid_ids, forbidden)
 
     result = space.empty()
     finals = []
@@ -207,12 +206,11 @@ def solve_biconvex(
 
     order_a and order_b must be a biconvex ordering of the whole graph;
     components are carved out, solved against their restricted orders,
-    and merged by profile sums. Without a `space`, `witnesses=True`
-    makes the returned set split a profile back across the components,
-    last component first, and trace each part in its own component.
+    and merged by profile sums. `witnesses=True` makes the returned set
+    split a profile back across the components, last component first,
+    and trace each part in its own component.
     """
     graph = instance.graph
-    trace = space is None and witnesses
     if space is None:
         space = ProfileSpace.for_instance(instance, prune=prune)
     require_biconvex_ordering(graph, order_a, order_b)
@@ -231,10 +229,8 @@ def solve_biconvex(
         to_local = {g: i for i, g in enumerate(ids)}
         local_a = tuple(to_local[v] for v in order_a if v in members)
         local_b = tuple(to_local[v] for v in order_b if v in members)
-        part = solve_biconvex_connected(sub, local_a, local_b, space, trace)
-        if space.track_witnesses:
-            part = part.map_witnesses(_relabel(ids))
-        if trace:
+        part = solve_biconvex_connected(sub, local_a, local_b, space, witnesses)
+        if witnesses:
             # Read before the result's traceback is set: with one
             # component the result may be this very set.
             traces.append(lambda p, t=part.traceback, r=_relabel(ids): r(t(p)))
@@ -246,7 +242,7 @@ def solve_biconvex(
     for part in parts[1:]:
         folds.append(folds[-1].combine(part))
     result = space.finalize(folds[-1])
-    if not trace:
+    if not witnesses:
         return result
 
     def witness(profile):

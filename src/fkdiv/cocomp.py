@@ -48,7 +48,7 @@ def layer_step(table: dict, j: int, vertex: int, pred_positions, vertex_profits,
                 acc.union_update(cell)
     for s in range(k):
         for target, acc in accum[s].items():
-            table[target] = space.finalize(acc.extended(s, vertex_profits[s], vertex))
+            table[target] = space.finalize(acc.extended(s, vertex_profits[s]))
 
 
 def iter_layer_tables(instance: Instance, order, orientation: Orientation, space):
@@ -126,8 +126,8 @@ def solve_cocomparability(
     Without a `space`, states are pruned only when they are sets, since
     a packed bitmap costs its width whatever it holds, and with `prune`
     the returned set is pruned. A given `space` prunes every state by
-    its own policy; a rounded space keeps its own witnesses and is never
-    asked for a traceback.
+    its own policy, and its sets, rounded ones too, are traced the same
+    way.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)

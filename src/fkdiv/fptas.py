@@ -4,10 +4,12 @@ Running any space-aware solver on a rounded space caps each class at
 O(n * log UB / eps) grid indices, n items and UB its largest total,
 while keeping true profiles alongside, so the reported value is always
 realizable and, for the ordered solver, at least the optimum divided by
-1+eps. The accuracy parameter must arrive as an exact decimal string or
-Fraction; binary floats would silently change the grid. An accuracy
-whose grid would need more than MAX_INDEX_RANGE indices per class is
-refused with ParameterOutOfRangeError.
+1+eps. States hold no witnesses: the solver walks the best truth back
+through its tables, by the rule it uses for exact sets. The accuracy
+parameter must arrive as an exact decimal string or Fraction; binary
+floats would silently change the grid. An accuracy whose grid would
+need more than MAX_INDEX_RANGE indices per class is refused with
+ParameterOutOfRangeError.
 
 By default every cell is pruned by joint dominance: a state (key K,
 truth T) is dropped when another state of its cell has K' >= K and
@@ -76,15 +78,16 @@ def solve_approx(
 ) -> FptasResult:
     """Run `solver` on the rounded space and select the best true value.
 
-    The witness is a valid partial coloring and `value` is its exact
-    minimum profit, so the result never overshoots the optimum. With
-    `prune`, every cell drops its jointly dominated states.
+    The witness, walked back by the solver, is a valid partial coloring
+    and `value` is its exact minimum profit, so the result never
+    overshoots the optimum. With `prune`, every cell drops its jointly
+    dominated states.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
     space = RoundedProfileSpace(instance.k, grid, prune)
-    states = solver(instance, space=space, **solver_kwargs)
-    value, true, witness = states.best_true()
+    states = solver(instance, space=space, witnesses=True, **solver_kwargs)
+    value, true, witness = states.best()
     return FptasResult(
         value=value,
         profile=true,
@@ -93,6 +96,35 @@ def solve_approx(
         grid=grid,
         states=states,
     )
+
+
+def _record_derivations(instance: Instance, grid, table, j, vertex, preds, derived) -> None:
+    """Store under (cell key, state key) in `derived`, for each state of
+    the cells written at layer j, the per-class item counts of one real
+    derivation: a source state, in the cell with a predecessor position
+    in place of j, that `extended` would carry onto this very key and
+    truth."""
+    for key, cell in table.items():
+        if j not in key:
+            continue
+        s = key.index(j)
+        p = instance.profit(s, vertex)
+        images: dict = {}
+        for i in sorted(preds):
+            source = key[:s] + (i,) + key[s + 1 :]
+            if source not in table:
+                continue
+            for src_key, true in table[source].keyed():
+                image = (
+                    src_key[:s] + (grid.extend(src_key[s], p),) + src_key[s + 1 :],
+                    true[:s] + (true[s] + p,) + true[s + 1 :],
+                )
+                counts = derived[source, src_key]
+                images.setdefault(image, counts[:s] + (counts[s] + 1,) + counts[s + 1 :])
+        for state in cell.keyed():
+            if state not in images:
+                raise AssertionError(f"layer {j} cell {key}: no source state derives {state}")
+            derived[key, state[0]] = images[state]
 
 
 def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
@@ -104,8 +136,10 @@ def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
     one holds); every rounded entry keeps a grid value at most its true
     profit; the true profit stays within one grid factor per item added
     to that class; and the sentinel index appears exactly for classes
-    with true profit zero. `prune` is passed to the rounded space, as in
-    `solve_approx`. Returns counters of everything checked.
+    with true profit zero. Items are counted along one real derivation
+    of each state, matched on key and truth (`_record_derivations`).
+    `prune` is passed to the rounded space, as in `solve_approx`.
+    Returns counters of everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
@@ -116,8 +150,11 @@ def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
 
     exact_run = iter_layer_tables(instance, order, orientation, exact_space)
     rounded_run = iter_layer_tables(instance, order, orientation, rounded_space)
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    zero = (0,) * instance.k
+    derived = {(zero, (ZERO,) * instance.k): zero}
     layers = cells = entries = 0
-    for (j1, _v1, exact_table), (j2, _v2, rounded_table) in zip(
+    for (j1, v1, exact_table), (j2, _v2, rounded_table) in zip(
         exact_run, rounded_run, strict=True
     ):
         assert j1 == j2
@@ -125,15 +162,19 @@ def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
             raise AssertionError(
                 f"layer {j1}: exact and rounded state keys differ"
             )
+        if v1 is not None:
+            preds = {0, *(pos[u] for u in orientation.in_neighbors(v1))}
+            _record_derivations(instance, grid, rounded_table, j1, v1, preds, derived)
         layers += 1
         for key, states in rounded_table.items():
             cells += 1
-            for idx_key, true, witness in states.items():
+            for idx_key, true in states.keyed():
                 entries += 1
+                counts = derived[key, idx_key]
                 for cls in range(instance.k):
                     t = idx_key[cls]
                     q = true[cls]
-                    additions = len(witness[cls])
+                    additions = counts[cls]
                     if t == ZERO:
                         if q != 0:
                             raise AssertionError(

@@ -61,9 +61,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise VertexRangeError(f"vertex {v} out of range for n={self.n}")

@@ -45,32 +45,34 @@ def brute_force(instance: Instance, budget: int = 10**8) -> OracleResult:
     best_val = -1
     best_assign = None
     profiles = set()
-
-    def rec(v: int) -> None:
-        nonlocal best_val, best_assign
-        if v == n:
-            prof = tuple(cur[1:])
-            profiles.add(prof)
-            val = min(prof)
-            if val > best_val:
-                best_val = val
-                best_assign = assign.copy()
-            return
-        assign[v] = 0
-        rec(v + 1)
-        bit = 1 << v
-        for c in range(1, k + 1):
-            if class_mask[c] & masks[v]:
-                continue
-            assign[v] = c
-            class_mask[c] |= bit
-            cur[c] += profits[c - 1][v]
-            rec(v + 1)
-            class_mask[c] &= ~bit
-            cur[c] -= profits[c - 1][v]
-        assign[v] = 0
-
-    rec(0)
+    # `assign` runs like an odometer through the full assignments in
+    # depth-first order: vertex 0 turns slowest, each vertex through
+    # uncolored, then every class no earlier vertex of it conflicts with.
+    while True:
+        prof = tuple(cur[1:])
+        profiles.add(prof)
+        if min(prof) > best_val:
+            best_val, best_assign = min(prof), assign.copy()
+        # The deepest vertex with a later allowed class takes it; the
+        # ones below it went back to uncolored on the way up.
+        v = n - 1
+        while v >= 0:
+            c = assign[v]
+            if c:
+                class_mask[c] &= ~(1 << v)
+                cur[c] -= profits[c - 1][v]
+            c += 1
+            while c <= k and class_mask[c] & masks[v]:
+                c += 1
+            if c <= k:
+                assign[v] = c
+                class_mask[c] |= 1 << v
+                cur[c] += profits[c - 1][v]
+                break
+            assign[v] = 0
+            v -= 1
+        else:
+            break
     witness = tuple(
         tuple(v for v in range(n) if best_assign[v] == c) for c in range(1, k + 1)
     )

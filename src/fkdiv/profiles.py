@@ -3,8 +3,10 @@
 A profile is a plain tuple of k nonnegative ints (one entry per agent).
 A partial coloring is stored as k sorted vertex tuples, one per class.
 ProfileSet holds distinct profiles, either as a set or as a dense bitmap
-over radix-(qbound+1) packed profiles. It stores no witnesses: a solver
-may attach a traceback callable that recovers one when it is asked for.
+over radix-(qbound+1) packed profiles. Neither it nor the rounded state
+sets store witnesses: a solver may attach a traceback callable that
+recovers one when it is asked for, and ProfileReads serves the reads
+both set types share.
 """
 
 from __future__ import annotations
@@ -61,7 +63,50 @@ def check_coloring(graph, coloring) -> None:
             raise ValueError(f"class {cls} is not independent")
 
 
-class ProfileSet:
+class ProfileReads:
+    """Reads shared by ProfileSet and the rounded state sets, over `k`,
+    `profiles()` (distinct, sorted), `__contains__`, `is_empty()` and a
+    `traceback` slot (profile -> coloring) that solvers may set."""
+
+    __slots__ = ()
+
+    def witness_for(self, profile):
+        """The traceback's coloring for `profile`, or None without one."""
+        if self.traceback is None:
+            return None
+        return self.traceback(tuple(profile))
+
+    def items(self):
+        """(profile, witness) pairs in lexicographic profile order."""
+        for p in self.profiles():
+            yield p, self.witness_for(p)
+
+    def split(self, profile, other, minus=None):
+        """Undo `self.combine(other, minus)` for one of its profiles.
+
+        Returns (left, right) with left in self, right in other and
+        left + right - minus == profile, taking the lexicographically
+        smallest such left; None if the profile is no such sum.
+        """
+        base = tuple(minus) if minus is not None else (0,) * self.k
+        for left in self.profiles():
+            right = tuple(p - a + c for p, a, c in zip(profile, left, base))
+            if right in other:
+                return left, right
+        return None
+
+    def best(self):
+        """(value, profile, witness) maximizing satisfaction.
+
+        Ties are broken toward the lexicographically largest profile.
+        """
+        if self.is_empty():
+            raise EmptySetError("profile set is empty")
+        profile = max(self.profiles(), key=lambda p: (min(p), p))
+        return min(profile), profile, self.witness_for(profile)
+
+
+class ProfileSet(ProfileReads):
     """Set of distinct profit profiles, optionally with a traceback."""
 
     __slots__ = ("k", "qbound", "_set", "_bits", "_weights", "traceback")
@@ -74,8 +119,6 @@ class ProfileSet:
         self.k = k
         self.qbound = qbound
         self._weights = tuple((qbound + 1) ** (k - 1 - i) for i in range(k))
-        # profile -> coloring, consulted by witness_for; set by solvers
-        # that walk their tables back on demand.
         self.traceback = None
         if uses_bitset(k, qbound):
             self._set = None
@@ -139,17 +182,6 @@ class ProfileSet:
     def __iter__(self):
         return iter(self.profiles())
 
-    def witness_for(self, profile):
-        """The traceback's coloring for `profile`, or None without one."""
-        if self.traceback is None:
-            return None
-        return self.traceback(tuple(profile))
-
-    def items(self):
-        """(profile, witness) pairs in lexicographic profile order."""
-        for p in self.profiles():
-            yield p, self.witness_for(p)
-
     def __eq__(self, other):
         if not isinstance(other, ProfileSet):
             return NotImplemented
@@ -183,12 +215,10 @@ class ProfileSet:
         else:
             self._set |= other._set
 
-    def extended(self, cls0: int, amount: int, vertex=None) -> "ProfileSet":
+    def extended(self, cls0: int, amount: int) -> "ProfileSet":
         """New set with `amount` added at class cls0 in every profile.
 
-        `vertex` is ignored: it keeps the call shared with the rounded
-        sets, which store witnesses. Callers guarantee entries stay
-        within qbound.
+        Callers guarantee entries stay within qbound.
         """
         out = ProfileSet(self.k, self.qbound)
         if self._bits is not None:
@@ -226,37 +256,7 @@ class ProfileSet:
         }
         return out
 
-    def split(self, profile, other: "ProfileSet", minus=None):
-        """Undo `self.combine(other, minus)` for one of its profiles.
-
-        Returns (left, right) with left in self, right in other and
-        left + right - minus == profile, taking the lexicographically
-        smallest such left; None if the profile is no such sum.
-        """
-        base = tuple(minus) if minus is not None else (0,) * self.k
-        for left in self.profiles():
-            right = tuple(p - a + c for p, a, c in zip(profile, left, base))
-            if right in other:
-                return left, right
-        return None
-
-    # -- selection --------------------------------------------------------
-
-    def best(self):
-        """(value, profile, witness) maximizing satisfaction.
-
-        Ties are broken toward the lexicographically largest profile.
-        """
-        if self.is_empty():
-            raise EmptySetError("profile set is empty")
-        best_key = None
-        best_profile = None
-        for p in self.profiles():
-            key = (min(p), p)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_profile = p
-        return best_key[0], best_profile, self.witness_for(best_profile)
+    # -- pruning ----------------------------------------------------------
 
     def prune_dominated(self) -> "ProfileSet":
         """Keep only profiles not componentwise dominated by another entry.
@@ -288,9 +288,6 @@ class ProfileSet:
 
 class ProfileSpace:
     """Factory and policy knobs for the sets produced during one DP run."""
-
-    # Sets hold no witnesses; solvers that need one attach a traceback.
-    track_witnesses = False
 
     def __init__(self, k: int, qbound: int, prune=False):
         self.k = k

@@ -11,6 +11,9 @@ irrational number enters the index arithmetic.
 
 The table holds about B * U^2 / 2 bits, so a grid whose per-class index
 range would exceed MAX_INDEX_RANGE is refused before any power is built.
+
+A RoundedStateSet holds no witness: it answers the reads of ProfileSet,
+so each solver walks an FPTAS witness back as it does for exact sets.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EmptySetError, ParameterOutOfRangeError
-from .profiles import maximal
+from .errors import ParameterOutOfRangeError
+from .profiles import ProfileReads, maximal
 
 ZERO = -1  # grid index for an exact class total of zero
 B = 64  # fraction bits of the grid ratio r = num / 2^B
@@ -185,50 +188,23 @@ class RoundingGrid:
         return self._power(e) <= q << B * e
 
 
-def with_vertex(coloring, cls0: int, v: int):
-    """Coloring with vertex v inserted into class cls0 (0-based)."""
-    cur = coloring[cls0]
-    i = 0
-    while i < len(cur) and cur[i] < v:
-        i += 1
-    new = cur[:i] + (v,) + cur[i:]
-    return coloring[:cls0] + (new,) + coloring[cls0 + 1 :]
+class RoundedStateSet(ProfileReads):
+    """Rounded states: each grid key maps to one true profile.
 
-
-def merge_colorings(c1, c2):
-    """Per-class union of two colorings (shared vertices collapse)."""
-    return tuple(
-        tuple(sorted(set(a) | set(b))) for a, b in zip(c1, c2, strict=True)
-    )
-
-
-def _better(new_true, new_witness, old_true, old_witness) -> bool:
-    """Collision rule: higher minimum, then lex-larger true profile, then
-    lex-smaller witness. Independent of insertion order."""
-    new_key = (min(new_true), new_true)
-    old_key = (min(old_true), old_true)
-    if new_key != old_key:
-        return new_key > old_key
-    if new_witness is None or old_witness is None:
-        return False
-    return new_witness < old_witness
-
-
-class RoundedStateSet:
-    """Rounded-index states with the true profile and witness retained.
-
-    Keyed by per-class grid indices; one representative survives per
-    key. All reported values come from the retained true profiles, so
-    answers are always realizable; the grid only bounds how many states
-    coexist.
+    A collision keeps the truth with the higher minimum, then the
+    lexicographically larger one, whatever the insertion order. The
+    reads see the distinct truths, so reported values are realizable;
+    the grid only bounds how many states coexist.
     """
 
-    __slots__ = ("k", "grid", "_map")
+    __slots__ = ("k", "grid", "_map", "_truths", "traceback")
 
     def __init__(self, k: int, grid: RoundingGrid):
         self.k = k
         self.grid = grid
         self._map: dict = {}
+        self._truths = None  # set of the truths, built on first lookup
+        self.traceback = None
 
     def __len__(self) -> int:
         return len(self._map)
@@ -236,31 +212,36 @@ class RoundedStateSet:
     def is_empty(self) -> bool:
         return not self._map
 
-    def items(self):
-        """(index_key, true_profile, witness) triples, sorted by key."""
-        for key in sorted(self._map):
-            true, w = self._map[key]
-            yield key, true, w
+    def __contains__(self, truth) -> bool:
+        if self._truths is None:
+            self._truths = set(self._map.values())
+        return tuple(truth) in self._truths
 
-    def insert(self, key, true, witness) -> None:
+    def profiles(self) -> list:
+        """The distinct truths in lexicographic order."""
+        return sorted(set(self._map.values()))
+
+    def keyed(self) -> list:
+        """(grid key, truth) pairs sorted by key."""
+        return sorted(self._map.items())
+
+    def insert(self, key, true) -> None:
         cur = self._map.get(key)
-        if cur is None or _better(true, witness, cur[0], cur[1]):
-            self._map[key] = (true, witness)
+        if cur is None or (min(true), true) > (min(cur), cur):
+            self._map[key] = true
+            self._truths = None
 
     def union_update(self, other: "RoundedStateSet") -> None:
-        for key, (true, w) in other._map.items():
-            self.insert(key, true, w)
+        for key, true in other._map.items():
+            self.insert(key, true)
 
-    def extended(self, cls0: int, amount: int, vertex=None) -> "RoundedStateSet":
+    def extended(self, cls0: int, amount: int) -> "RoundedStateSet":
         out = RoundedStateSet(self.k, self.grid)
         extend = self.grid.extend
-        for key, (true, w) in self._map.items():
+        for key, true in self._map.items():
             nk = key[:cls0] + (extend(key[cls0], amount),) + key[cls0 + 1 :]
             nt = true[:cls0] + (true[cls0] + amount,) + true[cls0 + 1 :]
-            nw = w
-            if w is not None and vertex is not None:
-                nw = with_vertex(w, cls0, vertex)
-            out.insert(nk, nt, nw)
+            out.insert(nk, nt)
         return out
 
     def combine(self, other: "RoundedStateSet", minus=None) -> "RoundedStateSet":
@@ -268,20 +249,10 @@ class RoundedStateSet:
         the key is re-rounded from the merged truth."""
         base = tuple(minus) if minus is not None else (0,) * self.k
         out = RoundedStateSet(self.k, self.grid)
-        for _k1, t1, w1 in self.items():
-            for _k2, t2, w2 in other.items():
+        for t1 in self._map.values():
+            for t2 in other._map.values():
                 true = tuple(a + b - c for a, b, c in zip(t1, t2, base))
-                nw = None
-                if w1 is not None and w2 is not None:
-                    nw = merge_colorings(w1, w2)
-                out.insert(self.grid.round_profile(true), true, nw)
-        return out
-
-    def map_witnesses(self, fn) -> "RoundedStateSet":
-        """Apply fn(coloring)->coloring to every witness; keys unchanged."""
-        out = RoundedStateSet(self.k, self.grid)
-        for key, (true, w) in self._map.items():
-            out._map[key] = (true, fn(w) if w is not None else None)
+                out.insert(self.grid.round_profile(true), true)
         return out
 
     def prune_dominated(self) -> "RoundedStateSet":
@@ -291,25 +262,16 @@ class RoundedStateSet:
         K' >= K and T' >= T in every entry. Keys are distinct, so this is
         a strict partial order and the kept states are its maximal
         elements; every dropped key stays covered by a kept larger one.
+        A traceback carries over unchanged.
         """
         if len(self._map) <= 1:
             return self
         k = self.k
-        joint = sorted((key + true for key, (true, _w) in self._map.items()), reverse=True)
+        joint = sorted((key + true for key, true in self._map.items()), reverse=True)
         out = RoundedStateSet(k, self.grid)
-        out._map = {v[:k]: self._map[v[:k]] for v in maximal(joint)}
+        out._map = {v[:k]: v[k:] for v in maximal(joint)}
+        out.traceback = self.traceback
         return out
-
-    def best_true(self):
-        """(value, true_profile, witness) with the best true minimum."""
-        if not self._map:
-            raise EmptySetError("state set is empty")
-        best = None
-        for _key, true, w in self.items():
-            cand = ((min(true), true), true, w)
-            if best is None or cand[0] > best[0]:
-                best = cand
-        return best[0][0], best[1], best[2]
 
 
 class RoundedProfileSpace:
@@ -318,8 +280,6 @@ class RoundedProfileSpace:
     With `prune`, every finished cell keeps only its jointly undominated
     states (`RoundedStateSet.prune_dominated`).
     """
-
-    track_witnesses = True
 
     def __init__(self, k: int, grid: RoundingGrid, prune=True):
         self.k = k
@@ -331,7 +291,7 @@ class RoundedProfileSpace:
 
     def zero(self) -> RoundedStateSet:
         s = self.empty()
-        s.insert((ZERO,) * self.k, (0,) * self.k, ((),) * self.k)
+        s.insert((ZERO,) * self.k, (0,) * self.k)
         return s
 
     def finalize(self, state_set):

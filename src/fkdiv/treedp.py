@@ -6,10 +6,10 @@ inputs get whatever decomposition is supplied or the min-fill heuristic
 finds. Table keys are bag colorings, class 0 meaning uncolored, stored
 as tuples aligned with the sorted bag.
 
-States hold no witnesses. When one is asked for, the kept node tables
-are walked back from the root: every cell is a pruned or unpruned
-image of the child cells it was built from, so each profile it holds
-has a source in them.
+States, exact or rounded, hold no witnesses. When one is asked for,
+the kept node tables are walked back from the root: every cell is a
+pruned or unpruned image of the child cells it was built from, so each
+profile it holds has a source in them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
                         continue
                     target = key[:pos] + (c,) + key[pos:]
                     table[target] = space.finalize(
-                        cell.extended(c - 1, instance.profit(c - 1, v), v)
+                        cell.extended(c - 1, instance.profit(c - 1, v))
                     )
             tables[node_id] = table
         elif node.kind == "forget":
@@ -170,12 +170,11 @@ def solve_on_decomposition(
     """Profile set of `instance` computed over the given decomposition."""
     if verify:
         verify_decomposition(instance.graph, td)
-    trace = space is None and witnesses
     if space is None:
         space = ProfileSpace.for_instance(instance, prune=prune)
     nice = make_nice(td)
-    result, tables = _run(instance, nice, space, keep_tables=trace)
-    if trace:
+    result, tables = _run(instance, nice, space, keep_tables=witnesses)
+    if witnesses:
         result.traceback = walk_back(instance, nice, tables)
     return result
 

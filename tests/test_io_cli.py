@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -510,6 +511,28 @@ def test_cli_auto_report_equals_forced_algorithm(
     forced = solve_in_process(capsys, path, "--algo", algo, *extra)
     assert auto[0] == 0 and json.loads(auto[1])["algorithm"] == algo
     assert auto == forced
+
+
+@pytest.mark.parametrize(
+    "algo,family",
+    [("cocomp", "permutation"), ("chordal", "interval"), ("treewidth", "random"), ("biconvex", "biconvex")],
+)
+def test_cli_forced_epsilon_solve_verifies_and_repeats(tmp_path, algo, family):
+    path = write_family(tmp_path, family, 12, 1)
+    report = tmp_path / "report.json"
+    outs = []
+    for hash_seed in ("0", "1"):
+        res = run_cli(
+            "solve", "--input", str(path), "--algo", algo, "--epsilon", "1/2",
+            "--no-timing", "--report", str(report),
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert res.returncode == 0 and res.stderr == ""
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["algorithm"] == algo
+    verify = run_cli("verify", "--input", str(path), "--report", str(report))
+    assert verify.returncode == 0 and verify.stdout == "ok\n"
 
 
 def test_cli_forced_treewidth_ignores_the_cell_limit(tmp_path, capsys):

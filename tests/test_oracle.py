@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,67 @@ def test_brute_force_budget():
     inst = Instance(Graph(20, []), ((1,) * 20,))
     with pytest.raises(BudgetExceededError):
         brute_force(inst, budget=100)
+
+
+def recursive_brute_force(instance):
+    """Frozen recursive search: (optimum, witness, profiles), the first
+    assignment in search order winning ties."""
+    n, k = instance.n, instance.k
+    masks, profits = instance.graph.masks, instance.profits
+    assign, class_mask, cur = [0] * n, [0] * (k + 1), [0] * (k + 1)
+    best = [-1, None]
+    profiles = set()
+
+    def rec(v):
+        if v == n:
+            prof = tuple(cur[1:])
+            profiles.add(prof)
+            if min(prof) > best[0]:
+                best[:] = [min(prof), assign.copy()]
+            return
+        assign[v] = 0
+        rec(v + 1)
+        for c in range(1, k + 1):
+            if class_mask[c] & masks[v]:
+                continue
+            assign[v] = c
+            class_mask[c] |= 1 << v
+            cur[c] += profits[c - 1][v]
+            rec(v + 1)
+            class_mask[c] &= ~(1 << v)
+            cur[c] -= profits[c - 1][v]
+        assign[v] = 0
+
+    rec(0)
+    witness = tuple(
+        tuple(v for v in range(n) if best[1][v] == c) for c in range(1, k + 1)
+    )
+    return best[0], witness, frozenset(profiles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_brute_force_matches_recursive_search(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(0, 7), rng.randint(1, 3), 5, rng.random())
+    res = brute_force(inst)
+    assert (res.optimum, res.witness, res.profiles) == recursive_brute_force(inst)
+
+
+def test_brute_force_runs_deeper_than_the_recursion_limit():
+    n = 300
+    inst = Instance(Graph(n, combinations(range(n), 2)), (tuple(range(1, n + 1)),))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = brute_force(inst, budget=2**n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.optimum, res.witness) == (n, ((n - 1,),))
+    assert len(res.profiles) == n + 1
 
 
 def test_decide_trivial_and_budget():

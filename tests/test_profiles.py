@@ -124,7 +124,7 @@ def test_bitset_and_map_modes_agree(data):
     assert bit.profiles() == mapped.profiles()
     assert (
         bit.extended(cls0, amount).profiles()
-        == mapped.extended(cls0, amount, vertex=99).profiles()
+        == mapped.extended(cls0, amount).profiles()
     )
     assert bit.combine(bit).profiles() == mapped.combine(mapped).profiles()
     assert (

