@@ -95,17 +95,17 @@ def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_brutef
                 "biconvex solver needs 'o A'/'o B' ordering lines"
             )
     if auto or algo == "treewidth":
-        if parsed.decomposition is not None:
-            return "treewidth", partial(solve_treewidth, td=parsed.decomposition)
-        # minfill_decomposition verifies what it builds. Under auto it
-        # gives up once a bag passes the largest b with (k+1)^b colorings
-        # within the limit (b < the limit's bit length, as k >= 1).
+        # Under auto, min-fill gives up once a bag passes the largest b
+        # with (k+1)^b colorings within the limit (b < the limit's bit
+        # length, as k >= 1).
         max_bag = max(
             b for b in range(MINFILL_CELL_LIMIT.bit_length()) if (k + 1) ** b <= MINFILL_CELL_LIMIT
         )
-        td = minfill_decomposition(graph, max_bag=max_bag if auto else None)
+        td = parsed.decomposition
+        if td is None:
+            td = minfill_decomposition(graph, max_bag=max_bag if auto else None)
         if td is not None:
-            return "treewidth", partial(solve_treewidth, td=td, verify=False)
+            return "treewidth", partial(solve_treewidth, td=td)
     if algo == "bruteforce" or (allow_bruteforce and (k + 1) ** graph.n <= budget):
         return "bruteforce", partial(oracle.brute_force, budget=budget)
     raise NoApplicableAlgorithmError(
@@ -123,8 +123,9 @@ def run_solve(args) -> int:
     instance = parsed.instance
     n = instance.n
 
-    if args.epsilon is not None and args.emit_profiles:
-        print("error: --emit-profiles needs exact profiles, drop --epsilon", file=sys.stderr)
+    if args.epsilon is not None and (args.emit_profiles or args.no_prune):
+        flag = "--emit-profiles" if args.emit_profiles else "--no-prune"
+        print(f"error: {flag} needs exact profiles, drop --epsilon", file=sys.stderr)
         return EXIT_INPUT
     if args.epsilon is not None and args.algo == "bruteforce":
         print("error: --epsilon does not apply to bruteforce", file=sys.stderr)
@@ -144,7 +145,7 @@ def run_solve(args) -> int:
 
     emit_profiles = None
     if args.epsilon is not None:
-        result = solve_approx(instance, args.epsilon, solver=solver, prune=prune)
+        result = solve_approx(instance, args.epsilon, solver=solver)
         value, profile, witness = result.value, result.profile, result.witness
         profile_count = None
     elif algo == "bruteforce":

@@ -292,9 +292,7 @@ def minfill_decomposition(
         else:
             parent = step + 1
         edges.append((parent, step))
-    td = TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
-    verify_decomposition(graph, td)
-    return td
+    return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -360,8 +358,8 @@ class _NiceBuilder:
         return node
 
 
-def make_nice(td: TreeDecomposition, root: int = 0) -> NiceTreeDecomposition:
-    """Nice form of a tree decomposition, rooted at an empty bag.
+def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+    """Nice form of a tree decomposition, rooted at an empty bag above node 0.
 
     Leaf branches introduce their bag vertex by vertex; along each tree
     edge the child bag is forgotten down to the shared part and built up
@@ -376,8 +374,8 @@ def make_nice(td: TreeDecomposition, root: int = 0) -> NiceTreeDecomposition:
         adj[a].append(b)
         adj[b].append(a)
     order = []
-    seen = {root}
-    stack = [root]
+    seen = {0}
+    stack = [0]
     while stack:
         x = stack.pop()
         order.append(x)
@@ -408,9 +406,9 @@ def make_nice(td: TreeDecomposition, root: int = 0) -> NiceTreeDecomposition:
             node = builder.add("join", bag_sorted, (node, other))
         built[x] = node
 
-    top = built[root]
-    cur = list(sorted(td.bags[root]))
-    for v in sorted(td.bags[root]):
+    top = built[0]
+    cur = list(sorted(td.bags[0]))
+    for v in sorted(td.bags[0]):
         cur.remove(v)
         top = builder.add("forget", tuple(cur), (top,), v)
     return NiceTreeDecomposition(nodes=tuple(builder.nodes), root=top)

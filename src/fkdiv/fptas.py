@@ -11,14 +11,13 @@ floats would silently change the grid. An accuracy whose grid would
 need more than MAX_INDEX_RANGE indices per class is refused with
 ParameterOutOfRangeError.
 
-By default every cell is pruned by joint dominance: a state (key K,
-truth T) is dropped when another state of its cell has K' >= K and
-T' >= T in every entry. The (1+eps) bound of the ordered solver still
-holds. Take an optimal coloring and the key sequence K*_0, K*_1, ...
-that its own items would produce cell by cell through
-`RoundingGrid.extend`; the last key satisfies r^K* >= opt/(1+eps) in
-every class, since each class loses at most one factor r per item and
-r^n <= 1+eps. By induction, the pruned run holds in each of those cells
+Every cell is pruned by joint dominance: a state (key K, truth T) is
+dropped when another state of its cell has K' >= K and T' >= T in every
+entry. The (1+eps) bound of the ordered solver still holds. Take an
+optimal coloring and the key sequence K*_0, K*_1, ... that its own
+items would produce cell by cell through `RoundingGrid.extend`; the
+last key satisfies r^K* >= opt/(1+eps) in every class, since each
+class loses at most one factor r per item and r^n <= 1+eps. By induction, the pruned run holds in each of those cells
 a state with key >= K*_i: a prune drops a state only for one with a key
 at least as large, a collision keeps the key and replaces only the
 truth, and `extend` is monotone in its index, so extending the covering
@@ -73,20 +72,17 @@ class FptasResult:
     states: RoundedStateSet
 
 
-def solve_approx(
-    instance: Instance, epsilon, solver=solve_cocomparability, prune=True, **solver_kwargs
-) -> FptasResult:
+def solve_approx(instance: Instance, epsilon, solver=solve_cocomparability) -> FptasResult:
     """Run `solver` on the rounded space and select the best true value.
 
     The witness, walked back by the solver, is a valid partial coloring
     and `value` is its exact minimum profit, so the result never
-    overshoots the optimum. With `prune`, every cell drops its jointly
-    dominated states.
+    overshoots the optimum.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
-    space = RoundedProfileSpace(instance.k, grid, prune)
-    states = solver(instance, space=space, witnesses=True, **solver_kwargs)
+    space = RoundedProfileSpace(instance.k, grid)
+    states = solver(instance, space=space, witnesses=True)
     value, true, witness = states.best()
     return FptasResult(
         value=value,
@@ -127,7 +123,7 @@ def _record_derivations(instance: Instance, grid, table, j, vertex, preds, deriv
             derived[key, state[0]] = images[state]
 
 
-def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
+def paired_rounding_check(instance: Instance, epsilon) -> dict:
     """Run the ordered solver exactly and rounded in lockstep and verify
     the rounding invariants layer by layer.
 
@@ -138,15 +134,15 @@ def paired_rounding_check(instance: Instance, epsilon, prune=True) -> dict:
     to that class; and the sentinel index appears exactly for classes
     with true profit zero. Items are counted along one real derivation
     of each state, matched on key and truth (`_record_derivations`).
-    `prune` is passed to the rounded space, as in `solve_approx`.
-    Returns counters of everything checked.
+    The rounded space prunes, as in `solve_approx`. Returns counters of
+    everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
     orientation = complement_orientation(instance.graph)
     order = topological_sort(instance.graph.n, orientation.arcs)
     exact_space = ProfileSpace.for_instance(instance)
-    rounded_space = RoundedProfileSpace(instance.k, grid, prune)
+    rounded_space = RoundedProfileSpace(instance.k, grid)
 
     exact_run = iter_layer_tables(instance, order, orientation, exact_space)
     rounded_run = iter_layer_tables(instance, order, orientation, rounded_space)

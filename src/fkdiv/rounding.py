@@ -277,14 +277,13 @@ class RoundedStateSet(ProfileReads):
 class RoundedProfileSpace:
     """Space protocol adapter so exact solvers run unchanged on the grid.
 
-    With `prune`, every finished cell keeps only its jointly undominated
-    states (`RoundedStateSet.prune_dominated`).
+    Every finished cell keeps only its jointly undominated states
+    (`RoundedStateSet.prune_dominated`).
     """
 
-    def __init__(self, k: int, grid: RoundingGrid, prune=True):
+    def __init__(self, k: int, grid: RoundingGrid):
         self.k = k
         self.grid = grid
-        self.prune = prune
 
     def empty(self) -> RoundedStateSet:
         return RoundedStateSet(self.k, self.grid)
@@ -295,6 +294,4 @@ class RoundedProfileSpace:
         return s
 
     def finalize(self, state_set):
-        if self.prune:
-            return state_set.prune_dominated()
-        return state_set
+        return state_set.prune_dominated()

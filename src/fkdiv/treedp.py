@@ -165,11 +165,10 @@ def solve_on_decomposition(
     space=None,
     witnesses: bool = False,
     prune: bool = False,
-    verify: bool = True,
 ):
-    """Profile set of `instance` computed over the given decomposition."""
-    if verify:
-        verify_decomposition(instance.graph, td)
+    """Profile set of `instance` computed over the given decomposition,
+    which is verified first (DecompositionError if it is invalid)."""
+    verify_decomposition(instance.graph, td)
     if space is None:
         space = ProfileSpace.for_instance(instance, prune=prune)
     nice = make_nice(td)
@@ -192,24 +191,18 @@ def solve_chordal(
     if peo is None:
         peo = chordal_peo(instance.graph)
     td = clique_tree(instance.graph, peo)
-    return solve_on_decomposition(
-        instance, td, space=space, witnesses=witnesses, prune=prune, verify=False
-    )
+    return solve_on_decomposition(instance, td, space=space, witnesses=witnesses, prune=prune)
 
 
 def solve_treewidth(
     instance: Instance,
     *,
     td: TreeDecomposition | None = None,
-    verify: bool = True,
     space=None,
     witnesses: bool = False,
     prune: bool = False,
 ):
-    """Profile set over a supplied or min-fill decomposition; `verify`
-    applies to a supplied `td`, a min-fill one is verified when built."""
+    """Profile set over a supplied or min-fill decomposition."""
     if td is None:
-        td, verify = minfill_decomposition(instance.graph), False
-    return solve_on_decomposition(
-        instance, td, space=space, witnesses=witnesses, prune=prune, verify=verify
-    )
+        td = minfill_decomposition(instance.graph)
+    return solve_on_decomposition(instance, td, space=space, witnesses=witnesses, prune=prune)

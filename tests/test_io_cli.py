@@ -289,6 +289,10 @@ def test_cli_input_errors_exit_2(tmp_path):
     )
     assert eps_profiles.returncode == 2
 
+    eps_no_prune = run_cli("solve", "--input", str(inst), "--epsilon", "0.5", "--no-prune")
+    assert eps_no_prune.returncode == 2
+    assert "--no-prune" in eps_no_prune.stderr
+
     eps_brute = run_cli(
         "solve", "--input", str(inst), "--epsilon", "0.5", "--algo", "bruteforce"
     )
@@ -296,6 +300,18 @@ def test_cli_input_errors_exit_2(tmp_path):
 
     bad_eps = run_cli("solve", "--input", str(inst), "--epsilon", "-3")
     assert bad_eps.returncode == 2
+
+    # C5 fits no other solver, so auto reaches the declared decomposition,
+    # whose bags {1,2,3} and {3,4,5} leave the edge 1-5 uncovered.
+    bad_td = tmp_path / "c5-bad-td.fk"
+    bad_td.write_text(
+        "p fkdiv 5 5 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\nw 1 1 1 1 1 1\n"
+        "t 2 1\nb 1 1 2 3\nb 2 3 4 5\na 1 2\n"
+    )
+    for algo in ("auto", "treewidth"):
+        res = run_cli("solve", "--input", str(bad_td), "--algo", algo)
+        assert res.returncode == 2, (algo, res.stderr)
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 def test_cli_no_algorithm_exit_3(tmp_path):
@@ -433,24 +449,6 @@ def test_cli_negative_budget_exit_2(tmp_path):
     res = run_cli("solve", "--input", str(inst), "--budget", "-5")
     assert res.returncode == 2
     assert "--budget" in res.stderr and "Traceback" not in res.stderr
-
-
-def test_cli_epsilon_passes_no_prune_to_the_fptas(tmp_path, capsys, monkeypatch):
-    seen = []
-
-    def spy(*args, **kwargs):
-        result = original(*args, **kwargs)
-        seen.append((kwargs["prune"], len(result.states)))
-        return result
-
-    original = cli.solve_approx
-    monkeypatch.setattr(cli, "solve_approx", spy)
-    path = write_family(tmp_path, "permutation", 14, 1)
-    for extra in ((), ("--no-prune",)):
-        code, _out = solve_in_process(capsys, path, "--epsilon", "1/2", *extra)
-        assert code == 0
-    assert [prune for prune, _ in seen] == [True, False]
-    assert seen[0][1] < seen[1][1]
 
 
 def write_family(tmp_path, family, n, seed):

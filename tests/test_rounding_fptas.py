@@ -257,29 +257,16 @@ def test_pruned_fptas_bound_three_agents():
     check_fptas_against_exact(build_family("permutation", 22, 3, 4, 5).instance)
 
 
-def test_unpruned_space_leaves_states_alone():
-    inst = build_family("permutation", 12, 2, 40, 3).instance
-    pruned = solve_approx(inst, "1/2")
-    full = solve_approx(inst, "1/2", prune=False)
-    assert len(pruned.states) < len(full.states)
-    assert (pruned.value, pruned.profile) == (full.value, full.profile)
-    space = RoundedProfileSpace(inst.k, full.grid, prune=False)
-    assert space.finalize(full.states) is full.states
-    for prune in (True, False):
-        assert paired_rounding_check(inst, "1/2", prune=prune)["entries"] > 0
-
-
-@pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize(
     "name,family",
     [("cocomp", "permutation"), ("chordal", "chordal"), ("treewidth", "random"), ("biconvex", "biconvex")],
 )
-def test_rounded_walk_backs_realize_every_state(name, family, prune):
+def test_rounded_walk_backs_realize_every_state(name, family):
     for seed, (n, k) in enumerate(((8, 2), (6, 3), (9, 1))):
         parsed = build_family(family, n, k, 20, seed)
         run = dict(applicable_solvers(parsed))[name]
         for eps in ("1/10", "1/2", "2"):
-            res = solve_approx(parsed.instance, eps, solver=run, prune=prune)
+            res = solve_approx(parsed.instance, eps, solver=run)
             assert_witnesses(parsed.instance, res.states)
             check_coloring(parsed.graph, res.witness)
             assert profile_of(parsed.instance, res.witness) == res.profile

@@ -45,8 +45,9 @@ def test_solve_on_declared_decomposition_verifies():
     g = Graph(2, [(0, 1)])
     inst = Instance(g, ((3, 5),))
     bad = TreeDecomposition(bags=((0,), (1,)), edges=((0, 1),))
-    with pytest.raises(DecompositionError):
-        solve_on_decomposition(inst, bad)
+    for solve in (solve_on_decomposition, lambda inst, td: solve_treewidth(inst, td=td)):
+        with pytest.raises(DecompositionError):
+            solve(inst, bad)
     good = TreeDecomposition(bags=((0, 1),), edges=())
     assert solve_on_decomposition(inst, good).best()[0] == 5
 
