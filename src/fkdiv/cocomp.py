@@ -12,6 +12,12 @@ layer of its largest position, so the final table holds each state as
 it stood when later layers read it. A witness is therefore recovered
 by walking a profile back through that table instead of storing one
 coloring per profile.
+
+Next to the table sits a row index: for each class s, the other k-1
+positions x of a state map to its row, {position of class s: cell}. The
+target with the new position at slot s unions the cells of row x at
+predecessor positions, so a layer reads rows instead of scanning every
+state key, and builds each target once.
 """
 
 from __future__ import annotations
@@ -25,30 +31,50 @@ def initial_table(space) -> dict:
     return {(0,) * space.k: space.zero()}
 
 
-def layer_step(table: dict, j: int, vertex: int, pred_positions, vertex_profits, space) -> None:
+def index_states(rows, states) -> None:
+    """Add (key, cell) pairs to the row index `rows` of every class."""
+    for key, cell in states:
+        for s, class_rows in enumerate(rows):
+            x = key[:s] + key[s + 1 :]
+            row = class_rows.get(x)
+            if row is None:
+                class_rows[x] = {key[s]: cell}
+            else:
+                row[key[s]] = cell
+
+
+def layer_step(
+    table: dict, j: int, vertex: int, pred_positions, vertex_profits, space, rows
+) -> None:
     """Extend `table` with all states whose latest position is `j`.
 
     pred_positions: positions allowed as the previous latest vertex of
     the class receiving `vertex` (0 plus the positions of in-neighbors
-    of `vertex`). vertex_profits: per-class profit of `vertex`. Mutates
-    `table` in place; existing states stand for colorings that skip the
-    vertex and stay as they are. Sources feeding one target are unioned
-    first and extended once.
+    of `vertex`). vertex_profits: per-class profit of `vertex`. rows:
+    the row index of `table` (one dict per class s, from the other k-1
+    positions of a key to {its position of class s: cell}). The target
+    with j at slot s and other positions x is built from the cells of
+    row x of class s at predecessor positions: they are unioned first,
+    reading whichever is smaller of the row and `pred_positions`, and
+    extended once. Mutates `table` and `rows` in place, after every
+    target is built; existing states stand for colorings that skip the
+    vertex and stay as they are.
     """
-    k = space.k
-    accum = [dict() for _ in range(k)]
-    for key, cell in table.items():
-        for s in range(k):
-            if key[s] in pred_positions:
-                target = key[:s] + (j,) + key[s + 1 :]
-                acc = accum[s].get(target)
-                if acc is None:
-                    acc = space.empty()
-                    accum[s][target] = acc
-                acc.union_update(cell)
-    for s in range(k):
-        for target, acc in accum[s].items():
-            table[target] = space.finalize(acc.extended(s, vertex_profits[s]))
+    built = []
+    for s, class_rows in enumerate(rows):
+        for x, row in class_rows.items():
+            if len(row) <= len(pred_positions):
+                sources = [cell for i, cell in row.items() if i in pred_positions]
+            else:
+                sources = [row[i] for i in pred_positions if i in row]
+            if sources:
+                acc = space.empty()
+                for cell in sources:
+                    acc.union_update(cell)
+                target = x[:s] + (j,) + x[s:]
+                built.append((target, space.finalize(acc.extended(s, vertex_profits[s]))))
+    table.update(built)
+    index_states(rows, built)
 
 
 def iter_layer_tables(instance: Instance, order, orientation: Orientation, space):
@@ -59,12 +85,14 @@ def iter_layer_tables(instance: Instance, order, orientation: Orientation, space
     """
     pos = {v: i + 1 for i, v in enumerate(order)}
     table = initial_table(space)
+    rows = [{} for _ in range(space.k)]
+    index_states(rows, table.items())
     yield 0, None, table
     for j, v in enumerate(order, start=1):
         preds = {0}
         preds.update(pos[u] for u in orientation.in_neighbors(v))
         profits = [instance.profit(s, v) for s in range(instance.k)]
-        layer_step(table, j, v, preds, profits, space)
+        layer_step(table, j, v, preds, profits, space, rows)
         yield j, v, table
 
 

@@ -58,6 +58,14 @@ def _vertex(x: int, n: int, lineno) -> int:
     return x - 1
 
 
+def _first_gap(ids, count: int):
+    """Smallest of 1..count that `ids`, distinct ids in that range, lacks,
+    or None. It tries at most len(ids) + 1 ids, however large `count` is."""
+    if len(ids) == count:
+        return None
+    return next(i for i in range(1, count + 1) if i not in ids)
+
+
 def parse_instance(text: str) -> ParsedInstance:
     header = None
     edges = []
@@ -179,9 +187,9 @@ def parse_instance(text: str) -> ParsedInstance:
     n, m, k = header
     if len(edges) != m:
         raise DimensionMismatchError(f"header promises {m} edges, found {len(edges)}")
-    missing = [j for j in range(1, k + 1) if j not in profit_rows]
-    if missing:
-        raise DimensionMismatchError(f"no profits for class {missing[0]}")
+    missing = _first_gap(profit_rows, k)
+    if missing is not None:
+        raise DimensionMismatchError(f"no profits for class {missing}")
     if (order_a is None) != (order_b is None):
         raise ParseError("orderings need both an 'o A' and an 'o B' line")
 
@@ -189,9 +197,9 @@ def parse_instance(text: str) -> ParsedInstance:
     root0 = None
     if td_header is not None:
         count, root = td_header
-        absent = [i for i in range(1, count + 1) if i not in bags]
-        if absent:
-            raise DimensionMismatchError(f"no bag for decomposition node {absent[0]}")
+        absent = _first_gap(bags, count)
+        if absent is not None:
+            raise DimensionMismatchError(f"no bag for decomposition node {absent}")
         if len(tree_edges) != count - 1:
             raise DimensionMismatchError(
                 f"decomposition has {len(tree_edges)} tree edges, expected {count - 1}"

@@ -118,14 +118,30 @@ class ProfileSet(ProfileReads):
             raise ValueError("qbound must be nonnegative")
         self.k = k
         self.qbound = qbound
-        self._weights = tuple((qbound + 1) ** (k - 1 - i) for i in range(k))
         self.traceback = None
         if uses_bitset(k, qbound):
+            self._weights = tuple((qbound + 1) ** (k - 1 - i) for i in range(k))
             self._set = None
             self._bits = 0
         else:
+            self._weights = None  # set mode packs nothing
             self._set = set()
             self._bits = None
+
+    def _blank(self) -> "ProfileSet":
+        """An empty set of this one's shape, sharing its packing weights."""
+        out = ProfileSet.__new__(ProfileSet)
+        out.k = self.k
+        out.qbound = self.qbound
+        out.traceback = None
+        out._weights = self._weights
+        if self._set is None:
+            out._set = None
+            out._bits = 0
+        else:
+            out._set = set()
+            out._bits = None
+        return out
 
     # -- packing ---------------------------------------------------------
 
@@ -220,7 +236,7 @@ class ProfileSet(ProfileReads):
 
         Callers guarantee entries stay within qbound.
         """
-        out = ProfileSet(self.k, self.qbound)
+        out = self._blank()
         if self._bits is not None:
             out._bits = self._bits << (amount * self._weights[cls0])
             return out
@@ -235,7 +251,7 @@ class ProfileSet(ProfileReads):
         used at join nodes where the shared bag is counted twice.
         """
         base = tuple(minus) if minus is not None else (0,) * self.k
-        out = ProfileSet(self.k, self.qbound)
+        out = self._blank()
         if self._bits is not None:
             base_idx = self._pack(base)
             a, b = self._bits, other._bits
@@ -279,7 +295,7 @@ class ProfileSet(ProfileReads):
                     top = p[-1]
         else:
             kept = maximal(reversed(self.profiles()))
-        out = ProfileSet(self.k, self.qbound)
+        out = self._blank()
         out.traceback = self.traceback
         for p in kept:
             out.add(p)
@@ -293,13 +309,14 @@ class ProfileSpace:
         self.k = k
         self.qbound = qbound
         self.prune = prune
+        self._shape = ProfileSet(k, qbound)  # sets copy its mode and weights
 
     @classmethod
     def for_instance(cls, instance, prune=False):
         return cls(instance.k, instance.qbound, prune)
 
     def empty(self) -> ProfileSet:
-        return ProfileSet(self.k, self.qbound)
+        return self._shape._blank()
 
     def zero(self) -> ProfileSet:
         s = self.empty()

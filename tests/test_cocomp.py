@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from fkdiv.orientation import (
     topological_sort,
 )
 from fkdiv.profiles import ProfileSpace, uses_bitset
+from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
 
 def test_path_instance_matches_hand_computed():
@@ -148,3 +150,73 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
     assert_witnesses(inst, ps, limit=0)
     assert len(tables[-1]) > 1
     assert all(cell._bits is not None for cell in tables[-1].values())
+
+
+def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space):
+    """The layer step before the row index, frozen: every class scans
+    every state key for a predecessor position, and sources feeding one
+    target are unioned first and extended once."""
+    k = space.k
+    accum = [dict() for _ in range(k)]
+    for key, cell in table.items():
+        for s in range(k):
+            if key[s] in pred_positions:
+                target = key[:s] + (j,) + key[s + 1 :]
+                acc = accum[s].get(target)
+                if acc is None:
+                    acc = space.empty()
+                    accum[s][target] = acc
+                acc.union_update(cell)
+    for s in range(k):
+        for target, acc in accum[s].items():
+            table[target] = space.finalize(acc.extended(s, vertex_profits[s]))
+
+
+def reference_table(instance, order, orientation, space):
+    """The final table of the frozen layer loop."""
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    table = {(0,) * space.k: space.zero()}
+    for j, v in enumerate(order, start=1):
+        preds = {0}
+        preds.update(pos[u] for u in orientation.in_neighbors(v))
+        profits = [instance.profit(s, v) for s in range(instance.k)]
+        reference_layer_step(table, j, v, preds, profits, space)
+    return table
+
+
+def reference_space(kind, inst, rng):
+    """(instance, space) for one of the four state spaces of the DP."""
+    if kind != "bitset":
+        # Profits in the tens of thousands push (Q+1)^k past the bitmap
+        # limit and make rounded keys collide.
+        inst = inst.with_profits(
+            [[70000 * x + rng.randint(0, 9) for x in row] for row in inst.profits]
+        )
+    if kind == "rounded":
+        eps = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))
+        return inst, RoundedProfileSpace(inst.k, RoundingGrid.for_instance(inst, eps))
+    assume(uses_bitset(inst.k, inst.qbound) == (kind == "bitset"))
+    return inst, ProfileSpace.for_instance(inst, prune=kind == "pruned")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["bitset", "sets", "pruned", "rounded"]),
+)
+def test_row_index_builds_the_reference_tables(seed, kind):
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 9), rng.randint(1, 3)
+    inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
+    assume(is_cocomparability(inst.graph))
+    inst, space = reference_space(kind, inst, rng)
+    orientation = complement_orientation(inst.graph)
+    order = topological_sort(inst.n, orientation.arcs)
+    want = reference_table(inst, order, orientation, space)
+    for _j, _v, got in iter_layer_tables(inst, order, orientation, space):
+        pass
+    assert got.keys() == want.keys()
+    for key, cell in want.items():
+        assert got[key].profiles() == cell.profiles(), key
+        if kind == "rounded":
+            assert got[key].keyed() == cell.keyed(), key

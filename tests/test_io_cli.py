@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -312,6 +313,24 @@ def test_cli_input_errors_exit_2(tmp_path):
         res = run_cli("solve", "--input", str(bad_td), "--algo", algo)
         assert res.returncode == 2, (algo, res.stderr)
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    # Huge declared counts with nothing behind them: the first missing
+    # class or bag is found without a list over the whole range. The
+    # child's address space is capped, so a regression fails with a
+    # MemoryError there instead of exhausting the memory of the host.
+    def capped():
+        cap = 1 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for name, text, message in (
+        ("huge-k.fk", "p fkdiv 1 0 100000000\n", "no profits for class 1"),
+        ("huge-t.fk", "p fkdiv 1 0 1\nw 1 5\nt 100000000 1\n", "no bag for decomposition node 1"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        res = run_cli("solve", "--input", str(path), preexec_fn=capped)
+        assert res.returncode == 2, (name, res.stderr)
+        assert res.stderr == f"error: {message}\n"
 
 
 def test_cli_no_algorithm_exit_3(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,24 @@ def test_bitset_mode_engages_only_when_small():
     assert small._bits is not None
     assert big._bits is None
     assert (3 + 1) ** 2 <= BITSET_LIMIT < (200 + 1) ** 3
+
+
+def test_set_mode_builds_no_packing_weights():
+    """At k=3000, Q=1 the k radix weights alone would take about 0.7 MB
+    per set; sets that are not bitmaps pack nothing and build none."""
+    k = 3000
+    profiles = [(0,) * k, (1,) + (0,) * (k - 1), (0, 1) + (0,) * (k - 2)]
+    tracemalloc.start()
+    try:
+        ps = filled(k, 1, profiles)
+        grown = ps.extended(k - 1, 1)
+        pruned = grown.prune_dominated()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pruned) == 2
+    assert all(s._bits is None and s._weights is None for s in (ps, grown, pruned))
+    assert peak < 300_000
 
 
 @settings(max_examples=80, deadline=None)
