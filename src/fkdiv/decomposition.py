@@ -1,10 +1,13 @@
 """Tree decompositions: recognition, construction, and the nice form.
 
-Chordal graphs get a clique tree built from a perfect elimination
-ordering; everything else can go through a greedy min-fill heuristic or
-a decomposition supplied with the input. Tree dynamic programs consume
-the nice form, where every node introduces one vertex, forgets one
-vertex, joins two identical bags, or is an empty leaf.
+Every decomposition built here is the elimination tree of a vertex
+ordering, linked in one place (`elimination_tree`). Chordal graphs use
+a perfect elimination ordering, and their clique tree merges the
+elimination tree's non-maximal bags; everything else can go through a
+greedy min-fill ordering with its fill, or a decomposition supplied
+with the input. Tree dynamic programs consume the nice form, where
+every node introduces one vertex, forgets one vertex, joins two
+identical bags, or is an empty leaf.
 """
 
 from __future__ import annotations
@@ -71,22 +74,6 @@ def is_chordal(graph: Graph) -> bool:
         return False
 
 
-def maximal_cliques_chordal(graph: Graph, peo=None) -> list:
-    """Maximal cliques of a chordal graph, sorted for determinism."""
-    if peo is None:
-        peo = chordal_peo(graph)
-    position = {v: i for i, v in enumerate(peo)}
-    candidates = []
-    for i, v in enumerate(peo):
-        later = [u for u in graph.neighbors(v) if position[u] > i]
-        candidates.append(frozenset([v, *later]))
-    cliques = []
-    for c in candidates:
-        if not any(c < d for d in candidates):
-            cliques.append(c)
-    return sorted(set(cliques), key=sorted)
-
-
 @dataclass(frozen=True)
 class TreeDecomposition:
     """Bags indexed 0..t-1 plus undirected tree edges between them."""
@@ -101,15 +88,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    def neighbors(self, node: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
 
 
 def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
@@ -199,37 +177,55 @@ def separator_violations(graph: Graph, td: TreeDecomposition) -> list:
     return violations
 
 
-def clique_tree(graph: Graph, peo=None) -> TreeDecomposition:
-    """Clique tree of a chordal graph.
+def elimination_tree(order, later) -> TreeDecomposition:
+    """Tree decomposition of an elimination ordering.
 
-    Maximum-weight spanning tree over the maximal cliques, weight being
-    the intersection size; built greedily from clique 0, preferring the
-    lowest-numbered new clique and then the lowest-numbered attachment
-    on ties.
+    Bag i is `order[i]` plus `later[i]`, its neighbors (fill included)
+    eliminated after it. The parent of bag i is the bag of the earliest
+    vertex of `later[i]`, or bag i+1 when `later[i]` is empty; edges are
+    (parent, child) in child order. An empty order gives one empty bag.
     """
-    cliques = maximal_cliques_chordal(graph, peo)
-    t = len(cliques)
-    if t == 0:
+    if not order:
         return TreeDecomposition(bags=(frozenset(),), edges=())
-    in_tree = [False] * t
-    in_tree[0] = True
-    edges = []
-    for _ in range(t - 1):
-        best = None
-        for v in range(t):
-            if in_tree[v]:
-                continue
-            for u in range(t):
-                if not in_tree[u]:
-                    continue
-                w = len(cliques[u] & cliques[v])
-                cand = (-w, v, u)
-                if best is None or cand < best:
-                    best = cand
-        _, v, u = best
-        in_tree[v] = True
-        edges.append((u, v))
-    return TreeDecomposition(bags=tuple(cliques), edges=tuple(edges))
+    position = {v: i for i, v in enumerate(order)}
+    edges = tuple(
+        (min((position[u] for u in nbrs), default=i + 1), i)
+        for i, nbrs in enumerate(later[:-1])
+    )
+    bags = tuple(frozenset([v, *nbrs]) for v, nbrs in zip(order, later))
+    return TreeDecomposition(bags=bags, edges=edges)
+
+
+def clique_tree(graph: Graph, peo=None) -> TreeDecomposition:
+    """Clique tree of a chordal graph, in one pass over a perfect
+    elimination ordering.
+
+    Takes the PEO's elimination tree and merges every non-maximal bag
+    into a child one vertex larger, which holds it. In a PEO a bag is a
+    maximal clique exactly when no child is one vertex larger (Blair &
+    Peyton 1993), so the bags left are the maximal cliques, each once.
+    They are sorted by sorted contents: bag 0, the root, is the
+    lexicographically smallest.
+    """
+    if peo is None:
+        peo = chordal_peo(graph)
+    position = {v: i for i, v in enumerate(peo)}
+    later = [[u for u in graph.neighbors(v) if position[u] > i] for i, v in enumerate(peo)]
+    td = elimination_tree(peo, later)
+    # Children come before their parent in child order, so a child's
+    # group is final when its edge is read.
+    head = list(range(td.size))
+    for parent, child in td.edges:
+        if head[parent] == parent and len(td.bags[parent]) + 1 == len(td.bags[child]):
+            head[parent] = head[child]
+    heads = sorted(set(head), key=lambda i: sorted(td.bags[i]))
+    rank = {h: r for r, h in enumerate(heads)}
+    edges = tuple(
+        (rank[head[parent]], rank[head[child]])
+        for parent, child in td.edges
+        if head[parent] != head[child]
+    )
+    return TreeDecomposition(bags=tuple(td.bags[h] for h in heads), edges=edges)
 
 
 def _min_fill_vertex(live: list, alive: set) -> tuple:
@@ -254,23 +250,20 @@ def minfill_decomposition(
     """Heuristic tree decomposition from a greedy minimum-fill ordering.
 
     Eliminates, at each step, a vertex whose current neighborhood needs
-    the fewest fill edges (lowest id on ties). Bag i is the eliminated
-    vertex plus its neighborhood at that moment; its parent is the bag
-    of the neighbor eliminated soonest afterwards, or simply the next
-    bag when the neighborhood is empty.
+    the fewest fill edges (lowest id on ties), and returns the
+    elimination tree of that ordering: bag i is the eliminated vertex
+    plus its neighborhood at that moment.
 
     With `max_bag` set, returns None as soon as the chosen vertex's bag
     has more than `max_bag` vertices, which happens exactly when the
     full decomposition has width + 1 > `max_bag`.
     """
     n = graph.n
-    if n == 0:
-        return TreeDecomposition(bags=(frozenset(),), edges=())
     live = [set(graph.neighbors(v)) for v in range(n)]
     alive = set(range(n))
-    elim_index = {}
-    bags = []
-    for step in range(n):
+    order = []
+    later = []
+    for _ in range(n):
         v, nbrs = _min_fill_vertex(live, alive)
         if max_bag is not None and len(nbrs) + 1 > max_bag:
             return None
@@ -279,20 +272,9 @@ def minfill_decomposition(
                 live[a].add(b)
                 live[b].add(a)
         alive.remove(v)
-        elim_index[v] = step
-        bags.append(frozenset([v, *nbrs]))
-    edges = []
-    order = sorted(elim_index, key=elim_index.get)
-    for step, v in enumerate(order):
-        if step == n - 1:
-            continue
-        later = [u for u in bags[step] if u != v]
-        if later:
-            parent = min(elim_index[u] for u in later)
-        else:
-            parent = step + 1
-        edges.append((parent, step))
-    return TreeDecomposition(bags=tuple(bags), edges=tuple(edges))
+        order.append(v)
+        later.append(nbrs)
+    return elimination_tree(order, later)
 
 
 @dataclass(frozen=True)

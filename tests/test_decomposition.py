@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from fkdiv.decomposition import (
     clique_tree,
     is_chordal,
     make_nice,
-    maximal_cliques_chordal,
     mcs_order,
     minfill_decomposition,
     separator_violations,
@@ -24,6 +24,7 @@ from fkdiv.errors import (
     NotATreeError,
     NotChordalError,
 )
+from fkdiv.generators import build_family
 from fkdiv.graphs import Graph
 
 
@@ -49,8 +50,7 @@ def test_chordal_peo_accepts_tree_and_rejects_c4():
 
 def test_maximal_cliques_on_triangle_with_pendant():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    cliques = maximal_cliques_chordal(g)
-    assert sorted(map(tuple, cliques)) == [(0, 1, 2), (2, 3)]
+    assert clique_tree(g).bags == (frozenset({0, 1, 2}), frozenset({2, 3}))
 
 
 def test_clique_tree_single_edge_and_edgeless():
@@ -59,6 +59,17 @@ def test_clique_tree_single_edge_and_edgeless():
     td2 = clique_tree(Graph(2, []))
     assert set(td2.bags) == {frozenset({0}), frozenset({1})}
     assert len(td2.edges) == 1
+    td0 = clique_tree(Graph(0))
+    assert td0 == TreeDecomposition(bags=(frozenset(),), edges=())
+    verify_decomposition(Graph(0), td0)
+
+
+def test_clique_tree_of_chordal_n800_is_fast():
+    g = build_family("chordal", 800, 2, 1, 3).graph
+    start = time.perf_counter()
+    td = clique_tree(g)
+    assert time.perf_counter() - start < 2.0
+    verify_decomposition(g, td)
 
 
 def test_clique_tree_triangle_with_pendant_width():
@@ -156,6 +167,42 @@ def test_clique_tree_bags_are_maximal_cliques(seed):
             if v in bag:
                 continue
             assert not all(g.has_edge(v, u) for u in bag)
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs on at most 12 vertices, edgeless and disconnected
+    ones included; half of them are made chordal by adding the fill of
+    their min-fill ordering."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        filled = {
+            e
+            for bag in minfill_decomposition(g).bags
+            for e in itertools.combinations(sorted(bag), 2)
+        }
+        g = Graph(n, filled)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_chordality_and_clique_tree_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    assert is_chordal(g) == nx.is_chordal(G)
+    if not is_chordal(g):
+        return
+    td = clique_tree(g)
+    verify_decomposition(g, td)
+    assert len(set(td.bags)) == len(td.bags)
+    if g.n:
+        assert set(td.bags) == {frozenset(c) for c in nx.find_cliques(G)}
 
 
 def reference_minfill(graph):
