@@ -103,15 +103,15 @@ def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
             raise NotATreeError(f"bad tree edge ({a}, {b})")
         adj[a].append(b)
         adj[b].append(a)
-    seen = {0}
+    parent = {0: None}
     stack = [0]
     while stack:
         x = stack.pop()
         for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
+            if y not in parent:
+                parent[y] = x
                 stack.append(y)
-    if len(seen) != t:
+    if len(parent) != t:
         raise NotATreeError("tree edges do not connect all nodes")
     for bag in td.bags:
         for v in bag:
@@ -125,20 +125,13 @@ def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
         if not occurrence[v]:
             raise MissingVertexError(f"vertex {v} is in no bag")
     for u, v in graph.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if occurrence[u].isdisjoint(occurrence[v]):
             raise MissingEdgeError(f"edge ({u}, {v}) is in no bag")
+    # Rooted at bag 0, a vertex's bags form a subtree exactly when one
+    # of them, the subtree's top, has a parent without the vertex.
     for v in range(graph.n):
         nodes = occurrence[v]
-        start = next(iter(nodes))
-        reached = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in nodes and y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if reached != nodes:
+        if sum(parent[i] not in nodes for i in nodes) != 1:
             raise DisconnectedOccurrenceError(
                 f"bags containing {v} are not connected in the tree"
             )

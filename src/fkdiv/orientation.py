@@ -124,7 +124,7 @@ def transitive_orientation(graph: Graph) -> Orientation:
 
         while queue:
             x, y = queue.popleft()
-            for c in iter_bits(active[x] & ~active[y] & ~(1 << y)):
+            for c in iter_bits(active[x] & ~active[y] & ~(1 << y) & ~out[x]):
                 force(x, c)
             for c in iter_bits(active[y] & ~active[x] & ~(1 << x)):
                 force(c, y)

@@ -11,7 +11,7 @@ both set types share.
 
 from __future__ import annotations
 
-from operator import ge
+from operator import add, ge, sub
 
 from .errors import EmptySetError
 
@@ -81,16 +81,15 @@ class ProfileReads:
         for p in self.profiles():
             yield p, self.witness_for(p)
 
-    def split(self, profile, other, minus=None):
-        """Undo `self.combine(other, minus)` for one of its profiles.
+    def split(self, profile, other):
+        """Undo `self.combine(other)` for one of its profiles.
 
         Returns (left, right) with left in self, right in other and
-        left + right - minus == profile, taking the lexicographically
-        smallest such left; None if the profile is no such sum.
+        left + right == profile, taking the lexicographically smallest
+        such left; None if the profile is no such sum.
         """
-        base = tuple(minus) if minus is not None else (0,) * self.k
         for left in self.profiles():
-            right = tuple(p - a + c for p, a, c in zip(profile, left, base))
+            right = tuple(map(sub, profile, left))
             if right in other:
                 return left, right
         return None
@@ -244,32 +243,21 @@ class ProfileSet(ProfileReads):
         out._set = {p[:j] + (p[j] + amount,) + p[j + 1 :] for p in self._set}
         return out
 
-    def combine(self, other: "ProfileSet", minus=None) -> "ProfileSet":
-        """All pairwise sums, optionally minus a fixed base profile.
-
-        With minus=None this is the vector-sum merge of two sets; a base is
-        used at join nodes where the shared bag is counted twice.
-        """
-        base = tuple(minus) if minus is not None else (0,) * self.k
+    def combine(self, other: "ProfileSet") -> "ProfileSet":
+        """All pairwise sums: the vector-sum merge of two sets."""
         out = self._blank()
         if self._bits is not None:
-            base_idx = self._pack(base)
             a, b = self._bits, other._bits
             if a.bit_count() > b.bit_count():
                 a, b = b, a
             acc = 0
             while a:
                 low = a & -a
-                off = low.bit_length() - 1 - base_idx
-                acc |= b << off if off >= 0 else b >> -off
+                acc |= b << low.bit_length() - 1
                 a ^= low
             out._bits = acc
             return out
-        out._set = {
-            tuple(a + b - c for a, b, c in zip(p1, p2, base))
-            for p1 in self._set
-            for p2 in other._set
-        }
+        out._set = {tuple(map(add, p1, p2)) for p1 in self._set for p2 in other._set}
         return out
 
     # -- pruning ----------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import ParameterOutOfRangeError
 from .profiles import ProfileReads, maximal
@@ -244,14 +245,13 @@ class RoundedStateSet(ProfileReads):
             out.insert(nk, nt)
         return out
 
-    def combine(self, other: "RoundedStateSet", minus=None) -> "RoundedStateSet":
-        """Pairwise merge; true profiles add (minus the shared base) and
-        the key is re-rounded from the merged truth."""
-        base = tuple(minus) if minus is not None else (0,) * self.k
+    def combine(self, other: "RoundedStateSet") -> "RoundedStateSet":
+        """Pairwise merge; true profiles add and the key is re-rounded
+        from the merged truth."""
         out = RoundedStateSet(self.k, self.grid)
         for t1 in self._map.values():
             for t2 in other._map.values():
-                true = tuple(a + b - c for a, b, c in zip(t1, t2, base))
+                true = tuple(map(add, t1, t2))
                 out.insert(self.grid.round_profile(true), true)
         return out
 

@@ -4,7 +4,11 @@ One engine serves two entry points: chordal graphs get clique-tree bags
 (where any class holds at most one bag vertex), and bounded-treewidth
 inputs get whatever decomposition is supplied or the min-fill heuristic
 finds. Table keys are bag colorings, class 0 meaning uncolored, stored
-as tuples aligned with the sorted bag.
+as tuples aligned with the sorted bag. A cell holds only the profit of
+vertices already forgotten below its node: a vertex's profit enters at
+its forget node, the one place it leaves the decomposition, so introduce
+nodes share their child's cells and a join adds its two cells' profiles,
+which count disjoint vertices.
 
 States, exact or rounded, hold no witnesses. When one is asked for,
 the kept node tables are walked back from the root: every cell is a
@@ -27,15 +31,6 @@ from .graphs import Instance
 from .profiles import ProfileSpace
 
 
-def bag_profile(instance: Instance, bag, coloring) -> tuple:
-    """Per-class profit contributed by bag vertices under `coloring`."""
-    out = [0] * instance.k
-    for v, c in zip(bag, coloring):
-        if c > 0:
-            out[c - 1] += instance.profit(c - 1, v)
-    return tuple(out)
-
-
 def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=False):
     """(root profile set, node tables). A child table is dropped once
     read, unless `keep_tables` and a forget or join node reads it: only
@@ -51,29 +46,22 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
         elif node.kind == "introduce":
             (child_id,) = node.children
             child_bag = nice.nodes[child_id].bag
-            child_table = tables.pop(child_id)
             v = node.vertex
             pos = node.bag.index(v)
+            nbrs = [i for i, u in enumerate(child_bag) if graph.has_edge(u, v)]
             table = {}
-            for key, cell in child_table.items():
-                base = key[:pos] + (0,) + key[pos:]
-                table[base] = cell
-                for c in range(1, k + 1):
-                    if any(
-                        key[i] == c and graph.has_edge(child_bag[i], v)
-                        for i in range(len(key))
-                    ):
-                        continue
-                    target = key[:pos] + (c,) + key[pos:]
-                    table[target] = space.finalize(
-                        cell.extended(c - 1, instance.profit(c - 1, v))
-                    )
+            for key, cell in tables.pop(child_id).items():
+                taken = {key[i] for i in nbrs}
+                for c in range(k + 1):
+                    if c == 0 or c not in taken:
+                        table[key[:pos] + (c,) + key[pos:]] = cell
             tables[node_id] = table
         elif node.kind == "forget":
             (child_id,) = node.children
             child_bag = nice.nodes[child_id].bag
             child_table = take(child_id)
-            pos = child_bag.index(node.vertex)
+            v = node.vertex
+            pos = child_bag.index(v)
             table = {}
             for key, cell in child_table.items():
                 target = key[:pos] + key[pos + 1 :]
@@ -81,7 +69,10 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
                 if acc is None:
                     acc = space.empty()
                     table[target] = acc
-                acc.union_update(cell)
+                c = key[pos]
+                acc.union_update(
+                    cell.extended(c - 1, instance.profit(c - 1, v)) if c else cell
+                )
             tables[node_id] = {
                 key: space.finalize(cell) for key, cell in table.items()
             }
@@ -94,8 +85,7 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
                 rcell = right.get(key)
                 if rcell is None:
                     continue
-                shared = bag_profile(instance, node.bag, key)
-                table[key] = space.finalize(lcell.combine(rcell, minus=shared))
+                table[key] = space.finalize(lcell.combine(rcell))
             tables[node_id] = table
         else:
             raise ValueError(f"unknown node kind {node.kind!r}")
@@ -109,12 +99,12 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
 def walk_back(instance: Instance, nice: NiceTreeDecomposition, tables: dict):
     """Witness recovery over kept node tables: profile -> coloring.
 
-    Descending from the root's only key, an introduce node colors its
-    vertex by the key's class and takes that class's profit off; a
-    forget node moves to the smallest class c in 0..k whose child cell
-    holds the profile; a join node splits the profile at the smallest
-    left profile whose remainder, plus the shared bag profile, the
-    right cell holds.
+    Descending from the root's only key, an introduce node drops its
+    vertex's position; a forget node colors its vertex by the smallest
+    class c in 0..k whose child cell holds the profile less the vertex's
+    profit in c, and takes that profit off; a join node splits the
+    profile at the smallest left profile whose remainder the right cell
+    holds.
     """
     k = instance.k
 
@@ -126,29 +116,29 @@ def walk_back(instance: Instance, nice: NiceTreeDecomposition, tables: dict):
         while stack:
             node_id, key, p = stack.pop()
             node = nice.nodes[node_id]
+            v = node.vertex
             if node.kind == "introduce":
-                pos = node.bag.index(node.vertex)
-                j = key[pos] - 1
-                if j >= 0:
-                    coloring[j].add(node.vertex)
-                    p = p[:j] + (p[j] - instance.profit(j, node.vertex),) + p[j + 1 :]
+                pos = node.bag.index(v)
                 stack.append((node.children[0], key[:pos] + key[pos + 1 :], p))
             elif node.kind == "forget":
                 (child_id,) = node.children
                 child_table = tables[child_id]
-                pos = nice.nodes[child_id].bag.index(node.vertex)
+                pos = nice.nodes[child_id].bag.index(v)
                 for c in range(k + 1):
                     source = key[:pos] + (c,) + key[pos:]
-                    cell = child_table.get(source)
-                    if cell is not None and p in cell:
+                    rest = p
+                    if c:
+                        rest = p[: c - 1] + (p[c - 1] - instance.profit(c - 1, v),) + p[c:]
+                    if rest in child_table.get(source, ()):
                         break
                 else:
                     raise AssertionError(f"no source cell for {profile} at node {node_id}")
-                stack.append((child_id, source, p))
+                if c:
+                    coloring[c - 1].add(v)
+                stack.append((child_id, source, rest))
             elif node.kind == "join":
                 left_id, right_id = node.children
-                shared = bag_profile(instance, node.bag, key)
-                parts = tables[left_id][key].split(p, tables[right_id][key], minus=shared)
+                parts = tables[left_id][key].split(p, tables[right_id][key])
                 if parts is None:
                     raise AssertionError(f"no split for {profile} at node {node_id}")
                 stack.append((left_id, key, parts[0]))

@@ -19,6 +19,9 @@ from fkdiv.decomposition import (
     verify_decomposition,
 )
 from fkdiv.errors import (
+    DecompositionError,
+    DisconnectedOccurrenceError,
+    InvalidDecompositionError,
     MissingEdgeError,
     MissingVertexError,
     NotATreeError,
@@ -94,6 +97,105 @@ def test_verify_rejects_missing_vertex_and_non_tree():
         verify_decomposition(
             g, TreeDecomposition(bags=((0,), (1,)), edges=())
         )
+
+
+def reference_verify(graph, td):
+    """The quadratic check verify_decomposition replaced: an any() scan
+    over all bags per edge and one BFS per vertex's occurrences."""
+    t = td.size
+    if t == 0:
+        raise NotATreeError("decomposition has no nodes")
+    if len(td.edges) != t - 1:
+        raise NotATreeError(f"{len(td.edges)} edges for {t} nodes")
+    adj = [[] for _ in range(t)]
+    for a, b in td.edges:
+        if not (0 <= a < t and 0 <= b < t) or a == b:
+            raise NotATreeError(f"bad tree edge ({a}, {b})")
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != t:
+        raise NotATreeError("tree edges do not connect all nodes")
+    for bag in td.bags:
+        for v in bag:
+            if not (0 <= v < graph.n):
+                raise InvalidDecompositionError(f"bag vertex {v} out of range")
+    occurrence = [set() for _ in range(graph.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            occurrence[v].add(i)
+    for v in range(graph.n):
+        if not occurrence[v]:
+            raise MissingVertexError(f"vertex {v} is in no bag")
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            raise MissingEdgeError(f"edge ({u}, {v}) is in no bag")
+    for v in range(graph.n):
+        nodes = occurrence[v]
+        start = next(iter(nodes))
+        reached = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in nodes and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if reached != nodes:
+            raise DisconnectedOccurrenceError(
+                f"bags containing {v} are not connected in the tree"
+            )
+
+
+def mutated(rng, graph, td):
+    """`td` with one bag vertex dropped or added, or one tree edge
+    rewired, dropped or added."""
+    bags = [list(b) for b in td.bags]
+    edges = list(td.edges)
+    t = len(bags)
+    kind = rng.choice(["drop_vertex", "add_vertex", "rewire", "drop_edge", "add_edge"])
+    if kind == "drop_vertex" and any(bags):
+        bag = rng.choice([b for b in bags if b])
+        bag.remove(rng.choice(bag))
+    elif kind == "add_vertex":
+        rng.choice(bags).append(rng.randrange(graph.n + 1))
+    elif kind == "rewire" and edges:
+        i = rng.randrange(len(edges))
+        edges[i] = (edges[i][rng.randrange(2)], rng.randrange(t))
+    elif kind == "drop_edge" and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "add_edge":
+        edges.append((rng.randrange(t), rng.randrange(t)))
+    return TreeDecomposition(
+        bags=tuple(tuple(sorted(set(b))) for b in bags), edges=tuple(edges)
+    )
+
+
+def outcome(check, graph, td):
+    try:
+        check(graph, td)
+    except DecompositionError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_verify_matches_reference_on_mutated_decompositions():
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(1, 9), 0.4)
+        td = mutated(rng, g, minfill_decomposition(g))
+        got = outcome(verify_decomposition, g, td)
+        assert got == outcome(reference_verify, g, td)
+        seen.add(got and got[0])
+    assert DisconnectedOccurrenceError in seen and None in seen
 
 
 def test_separation_property_of_built_decompositions():

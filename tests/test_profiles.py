@@ -91,8 +91,6 @@ def test_extended_and_combine_small():
     assert set(up.profiles()) == {(3, 0), (4, 2)}
     both = up.combine(filled(2, 9, [(0, 1)]))
     assert set(both.profiles()) == {(3, 1), (4, 3)}
-    minus = up.combine(filled(2, 9, [(3, 0)]), minus=(3, 0))
-    assert set(minus.profiles()) == {(3, 0), (4, 2)}
 
 
 def test_bitset_mode_engages_only_when_small():
@@ -218,18 +216,16 @@ def test_contains_rejects_foreign_profiles_in_both_modes(qbound):
 def test_split_undoes_combine(data):
     k = data.draw(st.integers(min_value=1, max_value=3))
     row = st.tuples(*[st.integers(min_value=0, max_value=4)] * k)
-    base = data.draw(row)
     lefts = data.draw(st.lists(row, min_size=1, max_size=6))
     rights = data.draw(st.lists(row, min_size=1, max_size=6))
     for qbound in (3 * 8, BITSET_LIMIT):
-        a = filled(k, qbound, [tuple(x + y for x, y in zip(r, base)) for r in lefts])
-        b = filled(k, qbound, [tuple(x + y for x, y in zip(r, base)) for r in rights])
-        for p in a.combine(b, minus=base):
-            left, right = a.split(p, b, minus=base)
+        a = filled(k, qbound, lefts)
+        b = filled(k, qbound, rights)
+        for p in a.combine(b):
+            left, right = a.split(p, b)
             assert left in a and right in b
-            assert tuple(x + y - z for x, y, z in zip(left, right, base)) == p
+            assert tuple(x + y for x, y in zip(left, right)) == p
             assert left == min(
-                q for q in a
-                if tuple(x - y + z for x, y, z in zip(p, q, base)) in b
+                q for q in a if tuple(x - y for x, y in zip(p, q)) in b
             )
-        assert a.split((qbound,) * k, b, minus=base) is None
+        assert a.split((qbound,) * k, b) is None

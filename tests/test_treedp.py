@@ -16,14 +16,7 @@ from fkdiv.errors import DecompositionError
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.profiles import uses_bitset
-from fkdiv.treedp import bag_profile, solve_chordal, solve_on_decomposition, solve_treewidth
-
-
-def test_bag_profile_counts_only_bag_vertices():
-    inst = Instance(Graph(3, []), ((1, 2, 4), (8, 16, 32)))
-    assert bag_profile(inst, (0, 2), (1, 2)) == (1, 32)
-    assert bag_profile(inst, (0, 2), (0, 1)) == (4, 0)
-    assert bag_profile(inst, (), ()) == (0, 0)
+from fkdiv.treedp import solve_chordal, solve_on_decomposition, solve_treewidth
 
 
 def test_independent_bag_single_class_has_four_colorings():
@@ -83,6 +76,42 @@ def test_chordal_solver_matches_brute_force(seed):
     ps = solve_chordal(inst, witnesses=True)
     assert frozenset(ps.profiles()) == want.profiles
     assert ps.best()[0] == want.optimum
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hub_in_every_bag_matches_brute_force(data):
+    """Star and caterpillar decompositions whose bags all hold one hub
+    vertex, so every join meets the hub in each of its classes."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    hub = data.draw(st.integers(min_value=0, max_value=n - 1))
+    groups = data.draw(st.integers(min_value=1, max_value=4))
+    spine = data.draw(st.integers(min_value=1, max_value=groups))
+    members = [[hub] for _ in range(groups)]
+    for v in range(n):
+        if v != hub:
+            members[data.draw(st.integers(min_value=0, max_value=groups - 1))].append(v)
+    allowed = sorted({
+        (min(u, v), max(u, v)) for bag in members for u in bag for v in bag if u != v
+    })
+    edges = [e for e in allowed if data.draw(st.booleans())]
+    rows = tuple(
+        tuple(data.draw(st.integers(min_value=0, max_value=6)) for _ in range(n))
+        for _ in range(k)
+    )
+    tree = [(i - 1, i) for i in range(1, spine)]
+    tree += [
+        (data.draw(st.integers(min_value=0, max_value=spine - 1)), i)
+        for i in range(spine, groups)
+    ]
+    td = TreeDecomposition(
+        bags=tuple(tuple(sorted(bag)) for bag in members), edges=tuple(tree)
+    )
+    inst = Instance(Graph(n, edges), rows)
+    ps = solve_on_decomposition(inst, td, witnesses=True)
+    assert frozenset(ps.profiles()) == brute_force(inst).profiles
+    assert_witnesses(inst, ps)
 
 
 def test_pruned_treewidth_keeps_value():
