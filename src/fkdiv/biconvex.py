@@ -20,7 +20,7 @@ from itertools import product
 
 from .bipartite import biconvex_structure, require_biconvex_ordering
 from .graphs import Instance
-from .orientation import complement_orientation, topological_sort
+from .orientation import complement_orientation
 from .profiles import ProfileSpace
 from .cocomp import solve_cocomparability
 
@@ -112,7 +112,6 @@ def solve_biconvex_connected(
     st = biconvex_structure(graph, order_a, order_b)
     mid_instance, mid_ids = instance.sub_instance(st.middle)
     orientation = complement_orientation(mid_instance.graph)
-    order = topological_sort(mid_instance.graph.n, orientation.arcs)
     to_mid = {g: i for i, g in enumerate(mid_ids)}
     pos = {v: i for i, v in enumerate(st.order_a)}
 
@@ -133,10 +132,11 @@ def solve_biconvex_connected(
                 row[to_mid[g]] = 0
             rows.append(row)
         zeroed = mid_instance.with_profits(rows)
+        # `space` keeps the whole instance's shape, so middle sets pack
+        # like the sets they are extended into.
         middle = solve_cocomparability(
             zeroed,
             orientation=orientation,
-            order=order,
             space=space,
             witnesses=steps is not None,
         )

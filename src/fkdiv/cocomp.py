@@ -3,8 +3,8 @@
 With the complement's arcs forming a strict partial order, independent
 sets of the conflict graph are exactly chains of that order, so a class
 is grown by remembering only its latest vertex. States are k-tuples of
-positions in a fixed topological order (0 meaning the class is still
-empty); each state holds the profiles realizable with those latest
+positions in the orientation's linear order (0 meaning the class is
+still empty); each state holds the profiles realizable with those latest
 vertices.
 
 Every state other than the empty one is written exactly once, at the
@@ -23,7 +23,7 @@ state key, and builds each target once.
 from __future__ import annotations
 
 from .graphs import Instance
-from .orientation import Orientation, complement_orientation, topological_sort
+from .orientation import Orientation, complement_orientation
 from .profiles import ProfileSpace, uses_bitset
 
 
@@ -77,12 +77,19 @@ def layer_step(
     index_states(rows, built)
 
 
-def iter_layer_tables(instance: Instance, order, orientation: Orientation, space):
+def iter_layer_tables(instance: Instance, orientation: Orientation, space):
     """Yield (position, vertex, table) after each layer, starting at 0.
 
     The table object is mutated between yields; consumers wanting a
     snapshot must copy what they need before advancing.
+
+    The ordered DP's prune rule: cells follow `space`, except that an
+    exact bitset cell is never pruned, since a packed bitmap costs its
+    width whatever it holds.
     """
+    if isinstance(space, ProfileSpace) and space.prune and uses_bitset(space.k, space.qbound):
+        space = ProfileSpace(space.k, space.qbound)
+    order = orientation.order
     pos = {v: i + 1 for i, v in enumerate(order)}
     table = initial_table(space)
     rows = [{} for _ in range(space.k)]
@@ -96,7 +103,7 @@ def iter_layer_tables(instance: Instance, order, orientation: Orientation, space
         yield j, v, table
 
 
-def walk_back(instance: Instance, order, orientation: Orientation, table: dict):
+def walk_back(instance: Instance, orientation: Orientation, table: dict):
     """Witness recovery over a finished `table`: profile -> coloring.
 
     A profile is traced from the smallest state key holding it. A state
@@ -105,6 +112,7 @@ def walk_back(instance: Instance, order, orientation: Orientation, table: dict):
     adding its profit to class s; the walk takes the smallest such
     position whose state holds the reduced profile.
     """
+    order = orientation.order
     pos = {v: i + 1 for i, v in enumerate(order)}
 
     def witness(profile):
@@ -137,7 +145,6 @@ def solve_cocomparability(
     instance: Instance,
     *,
     orientation: Orientation | None = None,
-    order=None,
     space=None,
     witnesses: bool = False,
     prune: bool = False,
@@ -146,34 +153,25 @@ def solve_cocomparability(
 
     Requires the conflict graph's complement to admit a transitive
     orientation; raises NotCocomparabilityError otherwise. Pass a
-    precomputed `orientation` (and optionally a topological `order` of
-    it) to skip recomputation across repeated solves on the same graph.
+    precomputed `orientation` to skip recomputation across repeated
+    solves on the same graph.
 
     States hold no witnesses: `witnesses=True` makes the returned set
     trace a witness back through the final table when one is asked for.
-    Without a `space`, states are pruned only when they are sets, since
-    a packed bitmap costs its width whatever it holds, and with `prune`
-    the returned set is pruned. A given `space` prunes every state by
-    its own policy, and its sets, rounded ones too, are traced the same
-    way.
+    Without a `space`, `prune` picks the space's policy. Cells prune by
+    the rule of `iter_layer_tables`, and the returned set by the space's
+    own policy; rounded sets are traced the same way.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)
-    if order is None:
-        order = topological_sort(instance.graph.n, orientation.arcs)
-    own_space = space is None
-    if own_space:
-        k, qbound = instance.k, instance.qbound
-        space = ProfileSpace(k, qbound, prune=prune and not uses_bitset(k, qbound))
-    for _j, _v, table in iter_layer_tables(instance, order, orientation, space):
+    if space is None:
+        space = ProfileSpace.for_instance(instance, prune=prune)
+    for _j, _v, table in iter_layer_tables(instance, orientation, space):
         pass
     result = space.empty()
     for cell in table.values():
         result.union_update(cell)
-    if not own_space:
-        result = space.finalize(result)
-    elif prune:
-        result = result.prune_dominated()
+    result = space.finalize(result)
     if witnesses:
-        result.traceback = walk_back(instance, order, orientation, table)
+        result.traceback = walk_back(instance, orientation, table)
     return result

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .cocomp import iter_layer_tables, solve_cocomparability
 from .graphs import Instance
-from .orientation import complement_orientation, topological_sort
+from .orientation import complement_orientation
 from .profiles import ProfileSpace
 from .rounding import ZERO, RoundedProfileSpace, RoundedStateSet, RoundingGrid
 
@@ -140,13 +140,12 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
     orientation = complement_orientation(instance.graph)
-    order = topological_sort(instance.graph.n, orientation.arcs)
     exact_space = ProfileSpace.for_instance(instance)
     rounded_space = RoundedProfileSpace(instance.k, grid)
 
-    exact_run = iter_layer_tables(instance, order, orientation, exact_space)
-    rounded_run = iter_layer_tables(instance, order, orientation, rounded_space)
-    pos = {v: i + 1 for i, v in enumerate(order)}
+    exact_run = iter_layer_tables(instance, orientation, exact_space)
+    rounded_run = iter_layer_tables(instance, orientation, rounded_space)
+    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
     zero = (0,) * instance.k
     derived = {(zero, (ZERO,) * instance.k): zero}
     layers = cells = entries = 0

@@ -19,67 +19,54 @@ from .graphs import Graph, canonical_edge, iter_bits
 
 
 class Orientation:
-    """An acyclic, transitively closed arc set over vertices 0..n-1."""
+    """A strict partial order over vertices 0..n-1 and its linear order.
 
-    __slots__ = ("n", "arcs", "succ", "pred")
+    Bit u of pred[v] means arc u->v. `order` is the linear extension
+    Kahn's algorithm gives when it always takes the lowest-numbered ready
+    vertex.
+    """
 
-    def __init__(self, n: int, arcs):
-        self.n = n
-        arcs = frozenset(arcs)
-        succ = [set() for _ in range(n)]
-        pred = [set() for _ in range(n)]
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-arc at {u}")
-            if (v, u) in arcs:
-                raise CycleDetectedError(f"both ({u},{v}) and ({v},{u}) present")
-            succ[u].add(v)
-            pred[v].add(u)
-        for u, v in arcs:
-            for w in succ[v]:
-                if w != u and (u, w) not in arcs:
+    __slots__ = ("n", "pred", "order")
+
+    def __init__(self, pred):
+        pred = tuple(pred)
+        n = len(pred)
+        for v, mask in enumerate(pred):
+            if mask >> n:
+                raise ValueError(f"arc into {v} from outside 0..{n - 1}")
+            if mask >> v & 1:
+                raise ValueError(f"self-arc at {v}")
+        succ = [[] for _ in range(n)]
+        for v, mask in enumerate(pred):
+            for u in iter_bits(mask):
+                if pred[u] >> v & 1:
+                    raise CycleDetectedError(f"both ({u},{v}) and ({v},{u}) present")
+                missing = pred[u] & ~mask
+                if missing:
+                    w = (missing & -missing).bit_length() - 1
                     raise NotComparabilityError(
-                        f"arcs ({u},{v}),({v},{w}) present but ({u},{w}) missing"
+                        f"arcs ({w},{u}),({u},{v}) present but ({w},{v}) missing"
                     )
-        self.arcs = arcs
-        self.succ = tuple(tuple(sorted(s)) for s in succ)
-        self.pred = tuple(tuple(sorted(s)) for s in pred)
-
-    def __contains__(self, arc) -> bool:
-        return arc in self.arcs
+                succ[u].append(v)
+        indeg = [mask.bit_count() for mask in pred]
+        ready = [v for v in range(n) if not indeg[v]]
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in succ[u]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    heapq.heappush(ready, v)
+        self.n = n
+        self.pred = pred
+        self.order = tuple(order)
 
     def in_neighbors(self, v: int):
-        return self.pred[v]
-
-    def out_neighbors(self, v: int):
-        return self.succ[v]
+        return tuple(iter_bits(self.pred[v]))
 
     def __repr__(self):
-        return f"Orientation(n={self.n}, arcs={len(self.arcs)})"
-
-
-def topological_sort(n: int, arcs) -> tuple:
-    """Kahn's algorithm, always popping the lowest-numbered ready vertex."""
-    indeg = [0] * n
-    succ = [[] for _ in range(n)]
-    for u, v in arcs:
-        indeg[v] += 1
-        succ[u].append(v)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != n:
-        raise CycleDetectedError("arc set contains a directed cycle")
-    return tuple(order)
+        return f"Orientation(n={self.n}, arcs={sum(m.bit_count() for m in self.pred)})"
 
 
 def transitive_orientation(graph: Graph) -> Orientation:
@@ -96,7 +83,7 @@ def transitive_orientation(graph: Graph) -> Orientation:
     """
     n = graph.n
     unassigned = list(graph.masks)  # per vertex, neighbors across unassigned edges
-    arcs: set = set()
+    pred = [0] * n
     first = 0  # no vertex below it has an unassigned edge left
 
     while True:
@@ -106,10 +93,12 @@ def transitive_orientation(graph: Graph) -> Orientation:
             break
         active = tuple(unassigned)
         seed = (first, next(iter_bits(active[first])))
-        out = [0] * n  # out[x] bit c: arc (x, c) chosen this round
+        # Arcs chosen this round: bit c of out[x] is (x, c), of into[y] is (c, y).
+        out = [0] * n
+        into = [0] * n
         out[first] = 1 << seed[1]
-        chosen = [seed]
-        queue = deque(chosen)
+        into[seed[1]] = 1 << first
+        queue = deque([seed])
 
         def force(a, b) -> None:
             if out[a] >> b & 1:
@@ -119,24 +108,23 @@ def transitive_orientation(graph: Graph) -> Orientation:
                     f"edge {canonical_edge(a, b)} forced in both directions"
                 )
             out[a] |= 1 << b
-            chosen.append((a, b))
+            into[b] |= 1 << a
             queue.append((a, b))
 
         while queue:
             x, y = queue.popleft()
             for c in iter_bits(active[x] & ~active[y] & ~(1 << y) & ~out[x]):
                 force(x, c)
-            for c in iter_bits(active[y] & ~active[x] & ~(1 << x)):
+            for c in iter_bits(active[y] & ~active[x] & ~(1 << x) & ~into[y]):
                 force(c, y)
 
-        arcs.update(chosen)
-        for a, b in chosen:
-            unassigned[a] &= ~(1 << b)
-            unassigned[b] &= ~(1 << a)
+        for v in range(n):
+            pred[v] |= into[v]
+            unassigned[v] &= ~(out[v] | into[v])
 
     # Forcing alone does not certify transitivity of the union, so the
     # constructor's closure check is the real gatekeeper.
-    return Orientation(n, arcs)
+    return Orientation(pred)
 
 
 def complement_orientation(graph: Graph) -> Orientation:
@@ -149,7 +137,7 @@ def complement_orientation(graph: Graph) -> Orientation:
 
 def is_cocomparability(graph: Graph) -> bool:
     try:
-        transitive_orientation(graph.complement())
+        complement_orientation(graph)
         return True
-    except NotComparabilityError:
+    except NotCocomparabilityError:
         return False

@@ -11,7 +11,7 @@ from fkdiv.errors import OrderingNotBiconvexError, StructureMismatchError
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
-from fkdiv.profiles import ProfileSpace
+from fkdiv.profiles import ProfileSet, ProfileSpace, uses_bitset
 from fkdiv.treedp import solve_treewidth
 
 
@@ -154,3 +154,42 @@ def test_items_replays_each_guess_once(monkeypatch):
     # A fresh set, asked for one profile only, traces the same coloring.
     profile, witness = pairs[len(pairs) // 2]
     assert solve_biconvex(inst, *orders, witnesses=True, prune=True).witness_for(profile) == witness
+
+
+@pytest.mark.parametrize("scale", [1, 70000])
+def test_middle_solves_prune_only_set_mode_cells(monkeypatch, scale):
+    """The middle solves keep the ordered DP's prune rule: a bitset cell
+    is never pruned, so each middle solve prunes only the set it
+    returns, while set-mode cells still prune."""
+    parsed = build_family("biconvex", 12, 2, 4, 3)
+    inst = parsed.instance.with_profits(
+        [[scale * x for x in row] for row in parsed.instance.profits]
+    )
+    assert uses_bitset(inst.k, inst.qbound) == (scale == 1)
+    counts = {"solves": 0, "prunes": 0}
+    inside = []
+    prune_dominated = ProfileSet.prune_dominated
+
+    def counted_prune(self):
+        if inside:
+            counts["prunes"] += 1
+        return prune_dominated(self)
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        inside.append(1)
+        try:
+            return solve_cocomparability(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ProfileSet, "prune_dominated", counted_prune)
+    monkeypatch.setattr(biconvex, "solve_cocomparability", counted_solve)
+    ps = solve_biconvex(inst, parsed.order_a, parsed.order_b, witnesses=True, prune=True)
+    assert counts["solves"] > 0
+    if scale == 1:
+        assert counts["prunes"] == counts["solves"]
+    else:
+        assert counts["prunes"] > counts["solves"]
+    assert ps.best()[0] == brute_force(inst).optimum
+    assert_witnesses(inst, ps)

@@ -9,11 +9,7 @@ import fkdiv.cocomp as cocomp
 from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
-from fkdiv.orientation import (
-    complement_orientation,
-    is_cocomparability,
-    topological_sort,
-)
+from fkdiv.orientation import complement_orientation, is_cocomparability
 from fkdiv.profiles import ProfileSpace, uses_bitset
 from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
@@ -39,10 +35,7 @@ def test_layer_tables_start_empty_and_grow():
     inst = Instance(Graph(2, []), ((2, 3),))
     space = ProfileSpace.for_instance(inst)
     orientation = complement_orientation(inst.graph)
-    order = topological_sort(inst.n, orientation.arcs)
-    snapshots = [
-        (j, v, set(table)) for j, v, table in iter_layer_tables(inst, order, orientation, space)
-    ]
+    snapshots = [(j, v, set(table)) for j, v, table in iter_layer_tables(inst, orientation, space)]
     assert snapshots[0][:2] == (0, None)
     assert snapshots[0][2] == {(0,)}
     assert len(snapshots) == 3
@@ -172,11 +165,11 @@ def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space
             table[target] = space.finalize(acc.extended(s, vertex_profits[s]))
 
 
-def reference_table(instance, order, orientation, space):
+def reference_table(instance, orientation, space):
     """The final table of the frozen layer loop."""
-    pos = {v: i + 1 for i, v in enumerate(order)}
+    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
     table = {(0,) * space.k: space.zero()}
-    for j, v in enumerate(order, start=1):
+    for j, v in enumerate(orientation.order, start=1):
         preds = {0}
         preds.update(pos[u] for u in orientation.in_neighbors(v))
         profits = [instance.profit(s, v) for s in range(instance.k)]
@@ -211,9 +204,8 @@ def test_row_index_builds_the_reference_tables(seed, kind):
     assume(is_cocomparability(inst.graph))
     inst, space = reference_space(kind, inst, rng)
     orientation = complement_orientation(inst.graph)
-    order = topological_sort(inst.n, orientation.arcs)
-    want = reference_table(inst, order, orientation, space)
-    for _j, _v, got in iter_layer_tables(inst, order, orientation, space):
+    want = reference_table(inst, orientation, space)
+    for _j, _v, got in iter_layer_tables(inst, orientation, space):
         pass
     assert got.keys() == want.keys()
     for key, cell in want.items():

@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import time
 from collections import deque
 from unittest.mock import patch
 
@@ -13,12 +15,12 @@ from fkdiv.errors import (
     NotCocomparabilityError,
     NotComparabilityError,
 )
-from fkdiv.graphs import Graph, canonical_edge
+from fkdiv.generators import build_family
+from fkdiv.graphs import Graph, canonical_edge, iter_bits
 from fkdiv.orientation import (
     Orientation,
     complement_orientation,
     is_cocomparability,
-    topological_sort,
     transitive_orientation,
 )
 
@@ -34,34 +36,98 @@ def graphs_up_to(max_n):
     return build()
 
 
+def arcs_of(pred):
+    """The arcs (u, v), meaning u -> v, of per-vertex predecessor masks."""
+    return frozenset((u, v) for v, mask in enumerate(pred) for u in iter_bits(mask))
+
+
+def pred_masks(n, arcs):
+    """Per-vertex predecessor masks of an arc list."""
+    pred = [0] * n
+    for u, v in arcs:
+        pred[v] |= 1 << u
+    return pred
+
+
+def reference_topological_sort(n, arcs):
+    """Frozen Kahn's algorithm, always popping the lowest-numbered ready
+    vertex: the linear extension `Orientation.order` must reproduce."""
+    indeg = [0] * n
+    succ = [[] for _ in range(n)]
+    for u, v in arcs:
+        indeg[v] += 1
+        succ[u].append(v)
+    ready = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(order) != n:
+        raise CycleDetectedError("arc set contains a directed cycle")
+    return tuple(order)
+
+
 def test_orientation_rejects_cycles_and_checks_transitivity():
     with pytest.raises(CycleDetectedError):
-        Orientation(2, [(0, 1), (1, 0)])
-    with pytest.raises(NotComparabilityError):
-        Orientation(3, [(0, 1), (1, 2)])
-    ok = Orientation(3, [(0, 1), (1, 2), (0, 2)])
-    assert ok.out_neighbors(0) == (1, 2)
+        Orientation([0b10, 0b01])  # 0 -> 1 and 1 -> 0
+    with pytest.raises(NotComparabilityError, match=r"\(0,1\),\(1,2\) present but \(0,2\)"):
+        Orientation([0, 0b001, 0b010])  # 0 -> 1 -> 2 without 0 -> 2
+    with pytest.raises(ValueError, match="self-arc at 1"):
+        Orientation([0, 0b010])
+    with pytest.raises(ValueError, match="outside"):
+        Orientation([0, 0b100])  # an arc from vertex 2 of a 2-vertex order
+    with pytest.raises(ValueError, match="outside"):
+        Orientation([0, -1])
+    ok = Orientation(pred_masks(3, [(0, 1), (1, 2), (0, 2)]))
+    assert ok.pred == (0, 0b001, 0b011)
     assert ok.in_neighbors(2) == (0, 1)
-    assert (0, 1) in ok and (1, 0) not in ok
+    assert ok.order == (0, 1, 2)
+    assert arcs_of(ok.pred) == {(0, 1), (1, 2), (0, 2)}
 
 
 def test_topological_sort_examples():
-    assert topological_sort(3, []) == (0, 1, 2)
-    assert topological_sort(3, [(2, 0)]) == (1, 2, 0)
-    assert topological_sort(3, [(0, 1), (1, 2)]) == (0, 1, 2)
+    assert Orientation(pred_masks(3, [])).order == (0, 1, 2)
+    assert Orientation(pred_masks(3, [(2, 0)])).order == (1, 2, 0)
+    assert Orientation(pred_masks(3, [(0, 1), (1, 2), (0, 2)])).order == (0, 1, 2)
+    assert Orientation(pred_masks(4, [(3, 0), (3, 1), (2, 1)])).order == (2, 3, 0, 1)
+    assert Orientation([]).order == ()
     with pytest.raises(CycleDetectedError):
-        topological_sort(2, [(0, 1), (1, 0)])
+        Orientation(pred_masks(2, [(0, 1), (1, 0)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_up_to(9))
+def test_order_matches_reference_topological_sort(g):
+    for graph in (g, g.complement()):
+        try:
+            orient = transitive_orientation(graph)
+        except NotComparabilityError:
+            continue
+        assert orient.order == reference_topological_sort(graph.n, arcs_of(orient.pred))
+
+
+def test_complement_orientation_of_permutation_n400_is_fast():
+    g = build_family("permutation", 400, 2, 1, 1).graph
+    start = time.perf_counter()
+    orient = complement_orientation(g)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(orient.order) == list(range(400))
 
 
 def test_k2_orientation():
     orient = transitive_orientation(Graph(2, [(0, 1)]))
-    assert orient.arcs == frozenset({(0, 1)})
+    assert arcs_of(orient.pred) == {(0, 1)}
 
 
 def test_complement_of_p4_orientation():
     g = Graph(4, [(0, 2), (0, 3), (1, 3)])
     orient = transitive_orientation(g)
-    assert orient.arcs == frozenset({(0, 2), (0, 3), (1, 3)})
+    assert arcs_of(orient.pred) == {(0, 2), (0, 3), (1, 3)}
 
 
 def test_c5_has_no_transitive_orientation():
@@ -76,10 +142,10 @@ def test_c5_has_no_transitive_orientation():
 def test_cocomparability_order_spans_interval_graph():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     orient = complement_orientation(g)
-    order = topological_sort(g.n, orient.arcs)
+    order = orient.order
     assert sorted(order) == [0, 1, 2, 3]
     pos = {v: i for i, v in enumerate(order)}
-    assert all(pos[u] < pos[v] for u, v in orient.arcs)
+    assert all(pos[u] < pos[v] for u, v in arcs_of(orient.pred))
 
 
 @settings(max_examples=120, deadline=None)
@@ -92,7 +158,7 @@ def test_forcing_agrees_with_exhaustive_search(g):
         assert not want
         return
     assert want
-    arcs = orient.arcs
+    arcs = arcs_of(orient.pred)
     assert len(arcs) == g.m
     for (x, y), (y2, z) in itertools.product(arcs, arcs):
         if y == y2 and x != z:
@@ -107,7 +173,7 @@ def test_successful_orientations_are_valid(g):
         orient = transitive_orientation(comp)
     except NotComparabilityError:
         return
-    assert {tuple(sorted(a)) for a in orient.arcs} == set(comp.edges)
+    assert {tuple(sorted(a)) for a in arcs_of(orient.pred)} == set(comp.edges)
 
 
 def reference_forcing(graph):
@@ -148,7 +214,7 @@ def reference_forcing(graph):
 def forced_arcs(graph):
     """The arcs transitive_orientation's forcing hands out, taken before
     Orientation's transitivity check can reject them."""
-    with patch.object(orientation, "Orientation", lambda n, arcs: arcs):
+    with patch.object(orientation, "Orientation", arcs_of):
         return transitive_orientation(graph)
 
 
