@@ -105,7 +105,7 @@ def biconvex_structure(graph: Graph, order_a, order_b) -> BiconvexStructure:
     for tail, inner_last in ((tail_left, True), (tail_right, False)):
         seq = tail if inner_last else tuple(reversed(tail))
         for u, v in zip(seq, seq[1:]):
-            if not set(graph.neighbors(u)) <= set(graph.neighbors(v)):
+            if graph.masks[u] & ~graph.masks[v]:
                 raise StructureMismatchError(
                     f"tail neighborhoods of {u} and {v} are not nested"
                 )

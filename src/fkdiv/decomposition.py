@@ -22,25 +22,22 @@ from .errors import (
     NotATreeError,
     NotChordalError,
 )
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 
 def mcs_order(graph: Graph) -> tuple:
     """Maximum cardinality search visit order, lowest id on ties."""
     n = graph.n
     weight = [0] * n
-    visited = [False] * n
+    unvisited = (1 << n) - 1
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        visited[best] = True
+        best = weight.index(max(weight))
+        weight[best] = -1  # below every unvisited weight from now on
+        unvisited ^= 1 << best
         order.append(best)
-        for u in graph.neighbors(best):
-            if not visited[u]:
-                weight[u] += 1
+        for u in iter_bits(graph.masks[best] & unvisited):
+            weight[u] += 1
     return tuple(order)
 
 
@@ -53,16 +50,16 @@ def chordal_peo(graph: Graph) -> tuple:
     neighbors are mutually adjacent.
     """
     order = mcs_order(graph)
-    seen = set()
+    seen = 0
     for v in order:
-        back = [u for u in graph.neighbors(v) if u in seen]
-        for i, a in enumerate(back):
-            for b in back[i + 1 :]:
-                if not graph.has_edge(a, b):
-                    raise NotChordalError(
-                        f"neighbors {a},{b} of {v} are not adjacent"
-                    )
-        seen.add(v)
+        back = graph.masks[v] & seen
+        for a in iter_bits(back):
+            # Visited neighbors of v above a that are not adjacent to a.
+            missing = (back >> (a + 1) << (a + 1)) & ~graph.masks[a]
+            if missing:
+                b = next(iter_bits(missing))
+                raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
+        seen |= 1 << v
     return tuple(reversed(order))
 
 
@@ -145,6 +142,7 @@ def separator_violations(graph: Graph, td: TreeDecomposition) -> list:
     for a, b in td.edges:
         adj[a].append(b)
         adj[b].append(a)
+    edges = graph.edges
     violations = []
     for a, b in td.edges:
         side = set()
@@ -164,7 +162,7 @@ def separator_violations(graph: Graph, td: TreeDecomposition) -> list:
             if i not in side:
                 right |= set(td.bags[i])
         right -= sep
-        for u, v in graph.edges:
+        for u, v in edges:
             if (u in left and v in right) or (v in left and u in right):
                 violations.append(((a, b), (u, v)))
     return violations
@@ -202,8 +200,11 @@ def clique_tree(graph: Graph, peo=None) -> TreeDecomposition:
     """
     if peo is None:
         peo = chordal_peo(graph)
-    position = {v: i for i, v in enumerate(peo)}
-    later = [[u for u in graph.neighbors(v) if position[u] > i] for i, v in enumerate(peo)]
+    rest = (1 << graph.n) - 1
+    later = []
+    for v in peo:
+        rest ^= 1 << v  # the vertices after v in the PEO
+        later.append(tuple(iter_bits(graph.masks[v] & rest)))
     td = elimination_tree(peo, later)
     # Children come before their parent in child order, so a child's
     # group is final when its edge is read.

@@ -1,7 +1,9 @@
 """Undirected graphs and problem instances.
 
-Vertices are 0..n-1 everywhere in the library; the file format uses
-1-based ids and the parser translates.
+A graph is one adjacency bitmask per vertex; its edge set, edge count
+and neighbor lists are derived from the masks. Vertices are 0..n-1
+everywhere in the library; the file format uses 1-based ids and the
+parser translates.
 """
 
 from __future__ import annotations
@@ -22,44 +24,53 @@ def iter_bits(mask: int):
 
 
 class Graph:
-    """Immutable simple graph backed by an edge set, adjacency lists and bitmasks."""
+    """Immutable simple graph stored as one adjacency bitmask per vertex.
 
-    __slots__ = ("n", "edges", "adj", "masks")
+    Bit v of `masks[u]` is the edge uv. The edge set, edge count and
+    neighbor tuples are derived from the masks when read.
+    """
+
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        seen = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        self.edges = frozenset(seen)
-        adj = [[] for _ in range(n)]
-        masks = [0] * n
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            if masks[u] >> v & 1:
+                raise ValueError(f"duplicate edge {canonical_edge(u, v)}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.n = n
         self.masks = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, masks) -> "Graph":
+        graph = object.__new__(cls)
+        graph.n = len(masks)
+        graph.masks = tuple(masks)
+        return graph
+
+    @property
+    def edges(self) -> frozenset:
+        # `mask >> u << u` keeps the neighbors above u: bit u is never set.
+        return frozenset(
+            (u, v) for u, mask in enumerate(self.masks) for v in iter_bits(mask >> u << u)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+        return bool(self.masks[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        return tuple(iter_bits(self.masks[v]))
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -76,14 +87,8 @@ class Graph:
         return True
 
     def complement(self) -> "Graph":
-        n = self.n
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in self.edges
-        ]
-        return Graph(n, edges)
+        full = (1 << self.n) - 1
+        return Graph._from_masks([full & ~mask & ~(1 << v) for v, mask in enumerate(self.masks)])
 
     def induced(self, vertices) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on `vertices`; returns (subgraph, sorted original ids).
@@ -94,31 +99,24 @@ class Graph:
         for v in vs:
             self._check_vertex(v)
         index = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(vs), edges), vs
+        keep = sum(1 << v for v in vs)
+        masks = [sum(1 << index[u] for u in iter_bits(self.masks[v] & keep)) for v in vs]
+        return Graph._from_masks(masks), vs
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest member."""
-        seen = [False] * self.n
         out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for u in iter_bits(frontier):
+                    reach |= self.masks[u]
+                frontier = reach & ~comp
+                comp |= frontier
+            rest &= ~comp
+            out.append(list(iter_bits(comp)))
         return out
 
     def is_connected(self) -> bool:
@@ -127,10 +125,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.masks)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

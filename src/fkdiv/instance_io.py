@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .decomposition import TreeDecomposition
 from .errors import DimensionMismatchError, ParseError
-from .graphs import Graph, Instance, canonical_edge
+from .graphs import Graph, Instance, canonical_edge, iter_bits
 from .profiles import check_coloring, profile_of
 
 
@@ -227,8 +227,8 @@ def serialize_instance(parsed: ParsedInstance) -> str:
     inst = parsed.instance
     n, k = inst.n, inst.k
     lines = [f"p fkdiv {n} {inst.graph.m} {k}"]
-    for u, v in sorted(inst.graph.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    for u, mask in enumerate(inst.graph.masks):  # edges (u, v) with v > u, ascending
+        lines += (f"e {u + 1} {v + 1}" for v in iter_bits(mask >> u << u))
     for j in range(k):
         row = " ".join(str(p) for p in inst.profits[j])
         lines.append(f"w {j + 1} {row}")

@@ -1,11 +1,75 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkdiv.errors import VertexRangeError
+from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance, canonical_edge
+
+
+class ReferenceGraph:
+    """The edge-set graph that `Graph` replaced, kept to check its derived reads."""
+
+    def __init__(self, n: int, edges=()):
+        self.n = n
+        self.edges = frozenset(canonical_edge(u, v) for u, v in edges)
+        adj = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self.adj = tuple(tuple(sorted(a)) for a in adj)
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return canonical_edge(u, v) in self.edges
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.adj[v]
+
+    def complement(self) -> "ReferenceGraph":
+        n = self.n
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in self.edges
+        ]
+        return ReferenceGraph(n, edges)
+
+    def induced(self, vertices):
+        vs = tuple(sorted(set(vertices)))
+        index = {v: i for i, v in enumerate(vs)}
+        edges = [
+            (index[u], index[v])
+            for u, v in self.edges
+            if u in index and v in index
+        ]
+        return ReferenceGraph(len(vs), edges), vs
+
+    def components(self) -> list[list[int]]:
+        seen = [False] * self.n
+        out = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            comp = [start]
+            seen[start] = True
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in self.adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        stack.append(w)
+            out.append(sorted(comp))
+        return out
 
 
 def small_graphs(max_n=6):
@@ -63,6 +127,52 @@ def test_rejects_self_loop_and_range():
         Graph(3, [(1, 1)])
     with pytest.raises(VertexRangeError):
         Graph(3, [(0, 3)])
+    for edges in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Graph(3, edges)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edge list in drawn order and orientation, vertex subset), n 0-10."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    subset = draw(st.sets(st.integers(min_value=0, max_value=n - 1))) if n else set()
+    return n, edges, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_mask_graph_matches_edge_set_reference(case):
+    n, edges, subset = case
+    g, ref = Graph(n, edges), ReferenceGraph(n, edges)
+    assert g.edges == ref.edges
+    assert g.m == ref.m
+    for v in range(n):
+        assert g.neighbors(v) == ref.neighbors(v)
+    for u, v in itertools.product(range(n), repeat=2):
+        assert g.has_edge(u, v) == ref.has_edge(u, v)
+    assert g.complement().edges == ref.complement().edges
+    sub, ids = g.induced(subset)
+    ref_sub, ref_ids = ref.induced(subset)
+    assert (sub.n, sub.edges, ids) == (ref_sub.n, ref_sub.edges, ref_ids)
+    assert g.components() == ref.components()
+    twin = Graph(n, reversed(edges))
+    assert g == twin
+    assert hash(g) == hash(twin)
+
+
+def test_complement_of_permutation_n400_is_fast():
+    g = build_family("permutation", 400, 2, 1, 1).graph
+    elapsed = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        comp = g.complement()
+        elapsed = min(elapsed, time.perf_counter() - start)
+    assert elapsed < 0.01
+    assert comp.m == 400 * 399 // 2 - g.m
 
 
 def test_components_sorted_by_minimum():
