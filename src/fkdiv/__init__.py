@@ -6,44 +6,14 @@ Exact solvers cover cocomparability graphs, chordal graphs, biconvex
 bipartite graphs, and anything with a small tree decomposition; a rounding
 layer turns any of them into a (1+eps)-approximation with polynomially many
 states. Small instances can always fall back to brute force.
+
+The package namespace is lazy (PEP 562): `import fkdiv` loads no
+submodule, and each name in `__all__` imports its home module the first
+time it is read. A command line solve thus loads only the modules its
+route runs.
 """
 
-from .biconvex import solve_biconvex
-from .cocomp import solve_cocomparability
-from .decomposition import (
-    TreeDecomposition,
-    chordal_peo,
-    clique_tree,
-    is_chordal,
-    make_nice,
-    minfill_decomposition,
-    verify_decomposition,
-)
-from .errors import (
-    BudgetExceededError,
-    DecompositionError,
-    EmptySetError,
-    FkdivError,
-    NoApplicableAlgorithmError,
-    NotChordalError,
-    NotCocomparabilityError,
-    OrderingNotBiconvexError,
-    ParseError,
-    StructureMismatchError,
-)
-from .fptas import FptasResult, paired_rounding_check, parse_epsilon, solve_approx
-from .graphs import Graph, Instance
-from .instance_io import (
-    ParsedInstance,
-    build_report,
-    parse_instance,
-    serialize_instance,
-    validate_report,
-)
-from .oracle import brute_force, decide_satisfaction_at_least, max_weight_independent_set
-from .orientation import is_cocomparability, transitive_orientation
-from .profiles import ProfileSet, ProfileSpace, profile_of, satisfaction
-from .treedp import solve_chordal, solve_on_decomposition, solve_treewidth
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -92,3 +62,56 @@ __all__ = [
     "verify_decomposition",
     "__version__",
 ]
+
+_EXPORTS = {
+    "biconvex": ("solve_biconvex",),
+    "cocomp": ("solve_cocomparability",),
+    "decomposition": (
+        "TreeDecomposition",
+        "chordal_peo",
+        "clique_tree",
+        "is_chordal",
+        "make_nice",
+        "minfill_decomposition",
+        "verify_decomposition",
+    ),
+    "errors": (
+        "BudgetExceededError",
+        "DecompositionError",
+        "EmptySetError",
+        "FkdivError",
+        "NoApplicableAlgorithmError",
+        "NotChordalError",
+        "NotCocomparabilityError",
+        "OrderingNotBiconvexError",
+        "ParseError",
+        "StructureMismatchError",
+    ),
+    "fptas": ("FptasResult", "paired_rounding_check", "parse_epsilon", "solve_approx"),
+    "graphs": ("Graph", "Instance"),
+    "instance_io": (
+        "ParsedInstance",
+        "build_report",
+        "parse_instance",
+        "serialize_instance",
+        "validate_report",
+    ),
+    "oracle": ("brute_force", "decide_satisfaction_at_least", "max_weight_independent_set"),
+    "orientation": ("is_cocomparability", "transitive_orientation"),
+    "profiles": ("ProfileSet", "ProfileSpace", "profile_of", "satisfaction"),
+    "treedp": ("solve_chordal", "solve_on_decomposition", "solve_treewidth"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,7 @@ the ends with nested neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import OrderingNotBiconvexError, StructureMismatchError
 from .graphs import Graph
@@ -52,17 +52,18 @@ def require_biconvex_ordering(graph: Graph, order_a, order_b) -> None:
         raise OrderingNotBiconvexError(reason)
 
 
-@dataclass(frozen=True)
-class BiconvexStructure:
-    """Shape of one connected component under its biconvex ordering."""
+class BiconvexStructure(
+    namedtuple(
+        "BiconvexStructure", "order_a order_b a_left a_right tail_left tail_right middle"
+    )
+):
+    """Shape of one connected component under its biconvex ordering.
 
-    order_a: tuple
-    order_b: tuple
-    a_left: int
-    a_right: int
-    tail_left: tuple  # side-A vertices before a_left, ascending
-    tail_right: tuple  # side-A vertices after a_right, ascending
-    middle: tuple  # sorted vertices of the middle segment plus all of side B
+    `tail_left` and `tail_right` are the side-A vertices before `a_left`
+    and after `a_right`, ascending; `middle` is the sorted vertices of
+    the middle segment plus all of side B."""
+
+    __slots__ = ()
 
 
 def biconvex_structure(graph: Graph, order_a, order_b) -> BiconvexStructure:

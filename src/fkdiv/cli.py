@@ -13,15 +13,12 @@ import sys
 import time
 from functools import partial
 
-from . import generators, oracle
-from .biconvex import solve_biconvex
 from .cocomp import solve_cocomparability
 from .decomposition import chordal_peo, minfill_decomposition
 from .decomposition import is_chordal  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .errors import (
     BudgetExceededError,
     DecompositionError,
-    FkdivError,
     NoApplicableAlgorithmError,
     NotChordalError,
     NotCocomparabilityError,
@@ -87,6 +84,8 @@ def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_brutef
                 raise
     if auto or algo == "biconvex":
         if parsed.order_a is not None:
+            from .biconvex import solve_biconvex
+
             return "biconvex", partial(
                 solve_biconvex, order_a=parsed.order_a, order_b=parsed.order_b
             )
@@ -107,6 +106,8 @@ def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_brutef
         if td is not None:
             return "treewidth", partial(solve_treewidth, td=td)
     if algo == "bruteforce" or (allow_bruteforce and (k + 1) ** graph.n <= budget):
+        from . import oracle
+
         return "bruteforce", partial(oracle.brute_force, budget=budget)
     raise NoApplicableAlgorithmError(
         "instance fits no structured solver; brute force would exceed the budget"
@@ -186,7 +187,9 @@ def run_solve(args) -> int:
 
 
 def run_gen(args) -> int:
-    parsed = generators.build_family(
+    from .generators import build_family
+
+    parsed = build_family(
         args.family, args.n, args.k, args.max_profit, args.seed, ell=args.ell
     )
     text = serialize_instance(parsed)
@@ -224,6 +227,15 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _family(text: str) -> str:
+    from .generators import FAMILIES
+
+    if text not in FAMILIES:
+        choices = ", ".join(map(repr, FAMILIES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=run_solve)
 
     pg = sub.add_parser("gen", help="generate a seeded instance of a graph family")
-    pg.add_argument("--family", required=True, choices=generators.FAMILIES)
+    pg.add_argument(
+        "--family", required=True, type=_family, help="graph family; a wrong name lists them all"
+    )
     pg.add_argument("--n", required=True, type=int, help="number of items")
     pg.add_argument("--k", type=int, default=2, help="number of agents (default 2)")
     pg.add_argument("--max-profit", type=int, default=10)

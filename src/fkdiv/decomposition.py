@@ -12,7 +12,7 @@ identical bags, or is an empty leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DisconnectedOccurrenceError,
@@ -25,33 +25,35 @@ from .errors import (
 from .graphs import Graph, iter_bits
 
 
-def mcs_order(graph: Graph) -> tuple:
-    """Maximum cardinality search visit order, lowest id on ties."""
+def mcs_order(graph: Graph):
+    """Maximum cardinality search visit order, lowest id on ties.
+
+    A generator: each vertex is yielded before the search goes on, so a
+    caller that stops early pays only for the steps it read."""
     n = graph.n
     weight = [0] * n
     unvisited = (1 << n) - 1
-    order = []
     for _ in range(n):
         best = weight.index(max(weight))
         weight[best] = -1  # below every unvisited weight from now on
         unvisited ^= 1 << best
-        order.append(best)
+        yield best
         for u in iter_bits(graph.masks[best] & unvisited):
             weight[u] += 1
-    return tuple(order)
 
 
 def chordal_peo(graph: Graph) -> tuple:
     """Perfect elimination ordering, or NotChordalError.
 
-    Runs maximum cardinality search and checks, for each vertex, that
-    its already-visited neighbors form a clique; the reversed visit
-    order is then an elimination ordering where every vertex's later
+    Runs maximum cardinality search and checks, as each vertex is
+    visited, that its already-visited neighbors form a clique, so a
+    non-chordal graph is rejected at its first bad vertex. The reversed
+    visit order is an elimination ordering where every vertex's later
     neighbors are mutually adjacent.
     """
-    order = mcs_order(graph)
+    order = []
     seen = 0
-    for v in order:
+    for v in mcs_order(graph):
         back = graph.masks[v] & seen
         for a in iter_bits(back):
             # Visited neighbors of v above a that are not adjacent to a.
@@ -60,6 +62,7 @@ def chordal_peo(graph: Graph) -> tuple:
                 b = next(iter_bits(missing))
                 raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
         seen |= 1 << v
+        order.append(v)
     return tuple(reversed(order))
 
 
@@ -71,12 +74,10 @@ def is_chordal(graph: Graph) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(namedtuple("TreeDecomposition", "bags edges")):
     """Bags indexed 0..t-1 plus undirected tree edges between them."""
 
-    bags: tuple
-    edges: tuple
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -271,18 +272,16 @@ def minfill_decomposition(
     return elimination_tree(order, later)
 
 
-@dataclass(frozen=True)
-class NiceNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    bag: tuple  # sorted vertices
-    children: tuple  # node ids
-    vertex: int | None = None  # the introduced or forgotten vertex
+class NiceNode(namedtuple("NiceNode", "kind bag children vertex", defaults=(None,))):
+    """One node: `kind` is "leaf", "introduce", "forget" or "join", `bag`
+    its sorted vertices, `children` node ids, and `vertex` the introduced
+    or forgotten vertex (None for leaves and joins)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    nodes: tuple
-    root: int
+class NiceTreeDecomposition(namedtuple("NiceTreeDecomposition", "nodes root")):
+    __slots__ = ()
 
     @property
     def width(self) -> int:

@@ -30,14 +30,14 @@ since a key records how its truth was rounded on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cocomp import iter_layer_tables, solve_cocomparability
 from .graphs import Instance
 from .orientation import complement_orientation
 from .profiles import ProfileSpace
-from .rounding import ZERO, RoundedProfileSpace, RoundedStateSet, RoundingGrid
+from .rounding import ZERO, RoundedProfileSpace, RoundingGrid
 
 
 def parse_epsilon(value) -> Fraction:
@@ -62,14 +62,8 @@ def parse_epsilon(value) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
-class FptasResult:
-    value: int
-    profile: tuple
-    witness: tuple
-    epsilon: Fraction
-    grid: RoundingGrid
-    states: RoundedStateSet
+class FptasResult(namedtuple("FptasResult", "value profile witness epsilon grid states")):
+    __slots__ = ()
 
 
 def solve_approx(instance: Instance, epsilon, solver=solve_cocomparability) -> FptasResult:

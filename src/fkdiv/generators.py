@@ -10,7 +10,7 @@ after serialization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .decomposition import chordal_peo
@@ -167,22 +167,21 @@ def _permutation(rng, n, k, max_profit):
     )
 
 
-@dataclass(frozen=True)
-class CliqueReductionParams:
-    """Bookkeeping for the clique-search instance built from a graph."""
+class CliqueReductionParams(
+    namedtuple(
+        "CliqueReductionParams",
+        "source_n source_m ell k threshold anchor_profit blocker_profit"
+        " vertex_items edge_items anchor_item blocker_items",
+    )
+):
+    """Bookkeeping for the clique-search instance built from a graph.
 
-    source_n: int
-    source_m: int
-    ell: int
-    k: int
-    threshold: int  # every class can reach this iff the source has an
-    # ell-clique
-    anchor_profit: int  # the conflict-free anchor item
-    blocker_profit: int  # the item conflicting with every source vertex
-    vertex_items: tuple
-    edge_items: tuple
-    anchor_item: int
-    blocker_items: tuple
+    Every class can reach `threshold` iff the source has an ell-clique.
+    `anchor_profit` is the profit of the conflict-free anchor item, and
+    `blocker_profit` that of an item conflicting with every source
+    vertex."""
+
+    __slots__ = ()
 
 
 def build_clique_reduction(source: Graph, ell: int, k: int):

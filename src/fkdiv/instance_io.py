@@ -20,7 +20,7 @@ serialization is canonical, so write(parse(write(x))) == write(x).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decomposition import TreeDecomposition
 from .errors import DimensionMismatchError, ParseError
@@ -28,14 +28,17 @@ from .graphs import Graph, Instance, canonical_edge, iter_bits
 from .profiles import check_coloring, profile_of
 
 
-@dataclass(frozen=True)
-class ParsedInstance:
-    instance: Instance
-    declared_class: str | None = None
-    order_a: tuple | None = None
-    order_b: tuple | None = None
-    decomposition: TreeDecomposition | None = None
-    decomposition_root: int | None = None
+class ParsedInstance(
+    namedtuple(
+        "ParsedInstance",
+        "instance declared_class order_a order_b decomposition decomposition_root",
+        defaults=(None,) * 5,
+    )
+):
+    """An Instance plus what its file declared: the class name, the two
+    biconvex orderings, and a tree decomposition with its root bag."""
+
+    __slots__ = ()
 
     @property
     def graph(self) -> Graph:

@@ -8,17 +8,14 @@ order (uncolored before class 1 before class 2, vertex by vertex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceededError
 from .graphs import Graph, Instance
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    optimum: int
-    witness: tuple
-    profiles: frozenset
+class OracleResult(namedtuple("OracleResult", "optimum witness profiles")):
+    __slots__ = ()
 
 
 def _search_size(n: int, k: int) -> int:

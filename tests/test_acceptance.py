@@ -115,9 +115,7 @@ def test_criterion_3_single_agent(corpus):
     for entry in corpus:
         graph = entry.instance.graph
         row = entry.instance.profits[0]
-        single = dataclasses.replace(
-            entry.parsed, instance=Instance(graph, (row,))
-        )
+        single = entry.parsed._replace(instance=Instance(graph, (row,)))
         want, _picked = max_weight_independent_set(graph, row)
         assert brute_force(single.instance).optimum == want
         for name, solve in applicable_solvers(single):

@@ -3,12 +3,14 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fkdiv
 from fkdiv import cli, decomposition, orientation, treedp
 from fkdiv.errors import DimensionMismatchError, NoApplicableAlgorithmError, ParseError
-from fkdiv.generators import build_family
+from fkdiv.generators import FAMILIES, build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.instance_io import (
     REPORT_KEYS,
@@ -427,6 +429,16 @@ def test_cli_gen_rejects_bad_parameters(tmp_path):
     assert res.returncode == 2
 
 
+def test_cli_gen_unknown_family_exits_2_and_lists_families(tmp_path):
+    out = tmp_path / "x.fk"
+    res = run_cli("gen", "--family", "nosuch", "--n", "4", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    for family in FAMILIES:
+        assert repr(family) in res.stderr
+    assert not out.exists()
+
+
 def test_cli_tiny_epsilon_exits_2(tmp_path):
     inst = tmp_path / "perm.fk"
     gen = run_cli(
@@ -479,6 +491,42 @@ def write_family(tmp_path, family, n, seed):
 def solve_in_process(capsys, path, *args):
     code = cli.main(["solve", "--input", str(path), "--no-timing", *args])
     return code, capsys.readouterr().out
+
+
+# Modules that neither a default solve nor an --epsilon solve of a
+# cocomparability instance runs, nor needs to load.
+NOT_LOADED_BY_SOLVE = (
+    "dataclasses",
+    "inspect",
+    "fkdiv.biconvex",
+    "fkdiv.bipartite",
+    "fkdiv.oracle",
+    "fkdiv.generators",
+)
+
+
+@pytest.mark.parametrize("extra", [(), ("--epsilon", "1/2")], ids=["exact", "epsilon"])
+def test_cli_solve_loads_only_its_route(tmp_path, extra):
+    path = write_family(tmp_path, "permutation", 10, 0)
+    dump = tmp_path / "modules.txt"
+    code = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: open({str(dump)!r}, 'w').write('\\n'.join(sys.modules)))\n"
+        "from fkdiv.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    # -S keeps the environment's site hooks out of the module list.
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code, "solve", "--input", str(path), "--no-timing", *extra],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(fkdiv.__file__).resolve().parents[1])},
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["algorithm"] == "cocomp"
+    loaded = set(dump.read_text().split("\n"))
+    assert "fkdiv.cocomp" in loaded
+    assert loaded.isdisjoint(NOT_LOADED_BY_SOLVE), loaded & set(NOT_LOADED_BY_SOLVE)
 
 
 # (family, n, seed, algorithm auto picks, recognizer runs in one solve).
