@@ -61,13 +61,11 @@ def _sweep(cur, vertex, classes, instance, space, steps):
     Every addition extends `cur` itself, so one vertex never lands in
     two classes of the same witness. With `steps`, records the step.
     """
-    merged = space.empty()
-    merged.union_update(cur)
-    for j in classes:
-        merged.union_update(cur.extended(j, instance.profit(j, vertex)))
     if steps is not None:
         steps.append((vertex, classes, cur))
-    return merged
+    return space.union(
+        [cur, *(cur.extended(j, instance.profit(j, vertex)) for j in classes)]
+    )
 
 
 def _undo_steps(instance, steps, profile):
@@ -161,14 +159,16 @@ def solve_biconvex_connected(
                     cur = _sweep(cur, a, classes, instance, space, steps)
         return cur, middle, _relabel(mid_ids, forbidden)
 
-    result = space.empty()
     finals = []
-    for upper, lower in enumerate_guesses(st.tail_left, st.tail_right, k):
-        cur = run_guess(upper, lower)[0]
-        result.union_update(cur)
-        if witnesses:
-            finals.append((upper, lower, cur))
-    result = space.finalize(result)
+
+    def guess_sets():
+        for upper, lower in enumerate_guesses(st.tail_left, st.tail_right, k):
+            cur = run_guess(upper, lower)[0]
+            if witnesses:
+                finals.append((upper, lower, cur))
+            yield cur
+
+    result = space.finalize(space.union(guess_sets()))
     if not witnesses:
         return result
 

@@ -28,7 +28,6 @@ from .errors import (
     StructureMismatchError,
     UnknownFamilyError,
 )
-from .fptas import parse_epsilon, solve_approx
 from .instance_io import (
     ParsedInstance,
     build_report,
@@ -41,7 +40,6 @@ from .instance_io import (
 )
 from .orientation import complement_orientation
 from .orientation import is_cocomparability  # noqa: F401  (perfbench/tracer.py wraps it here)
-from .treedp import solve_chordal, solve_treewidth
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,6 +56,28 @@ _APPLICABILITY_ERRORS = (
     OrderingNotBiconvexError,
     StructureMismatchError,
 )
+
+
+# The tree DP and the FPTAS load on the first call of their forwarders,
+# so a route that never calls one does not import it. The planner reads
+# these names from this module when it runs, so perfbench/tracer.py
+# wraps them here.
+def solve_chordal(*args, **kwargs):
+    from .treedp import solve_chordal
+
+    return solve_chordal(*args, **kwargs)
+
+
+def solve_treewidth(*args, **kwargs):
+    from .treedp import solve_treewidth
+
+    return solve_treewidth(*args, **kwargs)
+
+
+def solve_approx(*args, **kwargs):
+    from .fptas import solve_approx
+
+    return solve_approx(*args, **kwargs)
 
 
 def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_bruteforce: bool):
@@ -132,6 +152,8 @@ def run_solve(args) -> int:
         print("error: --epsilon does not apply to bruteforce", file=sys.stderr)
         return EXIT_INPUT
     if args.epsilon is not None:
+        from .fptas import parse_epsilon
+
         try:
             parse_epsilon(args.epsilon)
         except (ValueError, TypeError) as exc:

@@ -54,7 +54,7 @@ def layer_step(
     the row index of `table` (one dict per class s, from the other k-1
     positions of a key to {its position of class s: cell}). The target
     with j at slot s and other positions x is built from the cells of
-    row x of class s at predecessor positions: they are unioned first,
+    row x of class s at predecessor positions: one `space.union` of them,
     reading whichever is smaller of the row and `pred_positions`, and
     extended once. Mutates `table` and `rows` in place, after every
     target is built; existing states stand for colorings that skip the
@@ -68,11 +68,9 @@ def layer_step(
             else:
                 sources = [row[i] for i in pred_positions if i in row]
             if sources:
-                acc = space.empty()
-                for cell in sources:
-                    acc.union_update(cell)
                 target = x[:s] + (j,) + x[s:]
-                built.append((target, space.finalize(acc.extended(s, vertex_profits[s]))))
+                cell = space.union(sources).extended(s, vertex_profits[s])
+                built.append((target, space.finalize(cell)))
     table.update(built)
     index_states(rows, built)
 
@@ -168,10 +166,7 @@ def solve_cocomparability(
         space = ProfileSpace.for_instance(instance, prune=prune)
     for _j, _v, table in iter_layer_tables(instance, orientation, space):
         pass
-    result = space.empty()
-    for cell in table.values():
-        result.union_update(cell)
-    result = space.finalize(result)
+    result = space.finalize(space.union(table.values()))
     if witnesses:
         result.traceback = walk_back(instance, orientation, table)
     return result

@@ -311,6 +311,21 @@ class ProfileSpace:
         s.add((0,) * self.k)
         return s
 
+    def union(self, cells) -> ProfileSet:
+        """A new set holding every profile of `cells`, sets of this
+        space's shape; no cell changes."""
+        out = self.empty()
+        if out._bits is not None:
+            bits = 0
+            for cell in cells:
+                bits |= cell._bits
+            out._bits = bits
+        else:
+            profiles = out._set
+            for cell in cells:
+                profiles |= cell._set
+        return out
+
     def finalize(self, pset):
         if self.prune and not pset.is_empty():
             return pset.prune_dominated()

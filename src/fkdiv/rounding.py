@@ -293,5 +293,13 @@ class RoundedProfileSpace:
         s.insert((ZERO,) * self.k, (0,) * self.k)
         return s
 
+    def union(self, cells) -> RoundedStateSet:
+        """A new set holding the states of `cells`, folded in by
+        `union_update`, so collisions follow its rule; no cell changes."""
+        out = self.empty()
+        for cell in cells:
+            out.union_update(cell)
+        return out
+
     def finalize(self, state_set):
         return state_set.prune_dominated()

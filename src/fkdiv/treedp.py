@@ -89,11 +89,7 @@ def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=Fal
             tables[node_id] = table
         else:
             raise ValueError(f"unknown node kind {node.kind!r}")
-    root_table = tables[nice.root]
-    result = space.empty()
-    for cell in root_table.values():
-        result.union_update(cell)
-    return space.finalize(result), tables
+    return space.finalize(space.union(tables[nice.root].values())), tables
 
 
 def walk_back(instance: Instance, nice: NiceTreeDecomposition, tables: dict):

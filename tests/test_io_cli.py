@@ -493,8 +493,7 @@ def solve_in_process(capsys, path, *args):
     return code, capsys.readouterr().out
 
 
-# Modules that neither a default solve nor an --epsilon solve of a
-# cocomparability instance runs, nor needs to load.
+# Modules that no solve below runs, nor needs to load.
 NOT_LOADED_BY_SOLVE = (
     "dataclasses",
     "inspect",
@@ -503,11 +502,20 @@ NOT_LOADED_BY_SOLVE = (
     "fkdiv.oracle",
     "fkdiv.generators",
 )
+FPTAS_MODULES = ("fkdiv.fptas", "fkdiv.rounding", "fractions")
 
 
-@pytest.mark.parametrize("extra", [(), ("--epsilon", "1/2")], ids=["exact", "epsilon"])
-def test_cli_solve_loads_only_its_route(tmp_path, extra):
-    path = write_family(tmp_path, "permutation", 10, 0)
+@pytest.mark.parametrize(
+    "family,extra,algo,home,skipped",
+    [
+        ("permutation", (), "cocomp", "fkdiv.cocomp", ("fkdiv.treedp", "decimal", *FPTAS_MODULES)),
+        ("permutation", ("--epsilon", "1/2"), "cocomp", "fkdiv.fptas", ("fkdiv.treedp",)),
+        ("interval", (), "chordal", "fkdiv.treedp", FPTAS_MODULES),
+    ],
+    ids=["exact", "epsilon", "chordal"],
+)
+def test_cli_solve_loads_only_its_route(tmp_path, family, extra, algo, home, skipped):
+    path = write_family(tmp_path, family, 10, 0)
     dump = tmp_path / "modules.txt"
     code = (
         "import atexit, sys\n"
@@ -523,10 +531,43 @@ def test_cli_solve_loads_only_its_route(tmp_path, extra):
         env={"PYTHONPATH": str(Path(fkdiv.__file__).resolve().parents[1])},
     )
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["algorithm"] == "cocomp"
+    assert json.loads(res.stdout)["algorithm"] == algo
     loaded = set(dump.read_text().split("\n"))
-    assert "fkdiv.cocomp" in loaded
-    assert loaded.isdisjoint(NOT_LOADED_BY_SOLVE), loaded & set(NOT_LOADED_BY_SOLVE)
+    assert home in loaded
+    not_loaded = {*NOT_LOADED_BY_SOLVE, *skipped}
+    assert loaded.isdisjoint(not_loaded), loaded & not_loaded
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "family,n,seed,extra,solve_spans",
+    [
+        ("permutation", 10, 0, (), {"solve.cocomp"}),
+        ("interval", 10, 0, (), {"solve.chordal"}),
+        ("random", 12, 3, (), {"solve.treewidth"}),
+        ("permutation", 10, 0, ("--epsilon", "1/2"), {"fptas.solve_approx", "solve.cocomp"}),
+    ],
+    ids=["cocomp", "chordal", "treewidth", "epsilon"],
+)
+def test_traced_solve_keeps_its_spans(tmp_path, family, n, seed, extra, solve_spans):
+    # The benchmark's tracer wraps the solvers on fkdiv.cli, where the
+    # planner reads them; a route that binds them elsewhere loses its spans.
+    path = write_family(tmp_path, family, n, seed)
+    argv = ["solve", "--input", str(path), "--no-timing", *extra]
+    trace = tmp_path / "trace.json"
+    res = subprocess.run(
+        [sys.executable, str(TRACER), "--out", str(trace), "--mode", "traced", "--", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(fkdiv.__file__).resolve().parents[1])},
+    )
+    assert res.returncode == 0, res.stderr
+    plain = run_cli(*argv)
+    assert plain.returncode == 0 and res.stdout == plain.stdout
+    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert {name for name in names if name.startswith(("solve.", "fptas."))} == solve_spans
 
 
 # (family, n, seed, algorithm auto picks, recognizer runs in one solve).

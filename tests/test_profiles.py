@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from fkdiv.profiles import (
     profile_of,
     satisfaction,
 )
+from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
 
 def filled(k, qbound, profiles):
@@ -229,3 +231,47 @@ def test_split_undoes_combine(data):
                 q for q in a if tuple(x - y for x, y in zip(p, q)) in b
             )
         assert a.split((qbound,) * k, b) is None
+
+
+def snapshot(cell):
+    return cell.profiles(), cell.keyed() if hasattr(cell, "keyed") else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_space_union_is_a_fold_that_leaves_its_cells_alone(data):
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    kind = data.draw(st.sampled_from(["bitset", "set", "rounded"]))
+    profile = st.tuples(*[st.integers(min_value=0, max_value=6)] * k)
+    # Few distinct grid keys, so that rounded cells collide on a key
+    # with other truths.
+    key = st.tuples(*[st.integers(min_value=-1, max_value=2)] * k)
+    if kind == "rounded":
+        space = RoundedProfileSpace(k, RoundingGrid(Fraction(1, 2), 4, (6,) * k))
+    else:
+        space = ProfileSpace(k, 7 if kind == "bitset" else BITSET_LIMIT)
+    cells = [space.empty() for _ in range(data.draw(st.integers(0, 5)))]
+    for cell in cells:
+        for truth in data.draw(st.lists(profile, max_size=8)):
+            if kind == "rounded":
+                cell.insert(data.draw(key), truth)
+            else:
+                cell.add(truth)
+    before = [snapshot(cell) for cell in cells]
+
+    folded = space.empty()
+    for cell in cells:
+        folded.union_update(cell)
+    got = space.union(iter(cells))
+    assert snapshot(got) == snapshot(folded)
+    assert [snapshot(cell) for cell in cells] == before
+    # The union shares no storage with its cells: growing it by a state
+    # that no cell holds changes none of them.
+    extra = space.empty()
+    if kind == "rounded":
+        extra.insert((3,) * k, (7,) * k)
+    else:
+        extra.add((7,) * k)
+    got.union_update(extra)
+    assert [snapshot(cell) for cell in cells] == before
+    assert space.union([]).is_empty()
