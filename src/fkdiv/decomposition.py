@@ -5,9 +5,12 @@ ordering, linked in one place (`elimination_tree`). Chordal graphs use
 a perfect elimination ordering, and their clique tree merges the
 elimination tree's non-maximal bags; everything else can go through a
 greedy min-fill ordering with its fill, or a decomposition supplied
-with the input. Tree dynamic programs consume the nice form, where
-every node introduces one vertex, forgets one vertex, joins two
-identical bags, or is an empty leaf.
+with the input. A decomposition's tree is checked and rooted at bag 0
+in one place (`_rooted`), which both verification and the nice form
+read. Tree dynamic programs consume the nice form, where every node
+introduces one vertex, forgets one vertex, joins two identical bags,
+or is an empty leaf, listed children first so one pass in list order
+visits every node after its children.
 """
 
 from __future__ import annotations
@@ -88,8 +91,14 @@ class TreeDecomposition(namedtuple("TreeDecomposition", "bags edges")):
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
-    """Raise a DecompositionError subclass unless td is valid for graph."""
+def _rooted(td: TreeDecomposition) -> tuple:
+    """(parent, children, order) of td's tree rooted at bag 0, or
+    NotATreeError unless td's edges form a tree on its bags.
+
+    A depth-first search from bag 0 pushes each bag's neighbors in
+    ascending order: `order` lists the bags as visited, every parent
+    before its children, `children[x]` ascends, and `parent[0]` is None.
+    """
     t = td.size
     if t == 0:
         raise NotATreeError("decomposition has no nodes")
@@ -101,16 +110,28 @@ def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
             raise NotATreeError(f"bad tree edge ({a}, {b})")
         adj[a].append(b)
         adj[b].append(a)
-    parent = {0: None}
+    parent = [None] * t
+    children = [[] for _ in range(t)]
+    order = []
+    seen = {0}
     stack = [0]
     while stack:
         x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
+        order.append(x)
+        for y in sorted(adj[x]):
+            if y not in seen:
+                seen.add(y)
                 parent[y] = x
+                children[x].append(y)
                 stack.append(y)
-    if len(parent) != t:
+    if len(order) != t:
         raise NotATreeError("tree edges do not connect all nodes")
+    return parent, children, order
+
+
+def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
+    """Raise a DecompositionError subclass unless td is valid for graph."""
+    parent, _, _ = _rooted(td)
     for bag in td.bags:
         for v in bag:
             if not (0 <= v < graph.n):
@@ -281,109 +302,52 @@ class NiceNode(namedtuple("NiceNode", "kind bag children vertex", defaults=(None
 
 
 class NiceTreeDecomposition(namedtuple("NiceTreeDecomposition", "nodes root")):
+    """Nice nodes listed children first: every node comes after its
+    children, and the root, whose bag is empty, comes last."""
+
     __slots__ = ()
 
     @property
     def width(self) -> int:
         return max((len(nd.bag) for nd in self.nodes), default=0) - 1
 
-    def postorder(self):
-        """Node ids, children always before parents, without recursion."""
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.nodes[node].children:
-                    stack.append((c, False))
-        return out
-
-
-class _NiceBuilder:
-    def __init__(self):
-        self.nodes = []
-
-    def add(self, kind, bag, children=(), vertex=None) -> int:
-        self.nodes.append(
-            NiceNode(kind=kind, bag=tuple(bag), children=tuple(children), vertex=vertex)
-        )
-        return len(self.nodes) - 1
-
-    def chain_from_empty(self, bag_sorted) -> int:
-        node = self.add("leaf", ())
-        cur: list = []
-        for v in bag_sorted:
-            cur.append(v)
-            node = self.add("introduce", tuple(cur), (node,), v)
-        return node
-
-    def adapt(self, node: int, from_bag, to_bag) -> int:
-        """Forget what leaves the bag, then introduce what enters, both
-        in ascending vertex order."""
-        cur = set(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag)):
-            cur.remove(v)
-            node = self.add("forget", tuple(sorted(cur)), (node,), v)
-        for v in sorted(set(to_bag) - set(from_bag)):
-            cur.add(v)
-            node = self.add("introduce", tuple(sorted(cur)), (node,), v)
-        return node
-
 
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Nice form of a tree decomposition, rooted at an empty bag above node 0.
+    """Nice form of a tree decomposition, rooted at an empty bag above bag 0.
 
-    Leaf branches introduce their bag vertex by vertex; along each tree
-    edge the child bag is forgotten down to the shared part and built up
-    to the parent bag; multiple children fold into a chain of binary
-    joins; finally the root bag is forgotten down to nothing.
+    Bags are built children first, in reverse of `_rooted`'s visit
+    order. A childless bag introduces its vertices one by one above an
+    empty leaf; along each tree edge the child bag is forgotten down to
+    the shared part and built up to the parent bag; several children
+    fold into a chain of binary joins; finally bag 0 is forgotten down
+    to nothing. Forgets and introduces go in ascending vertex order.
+    NotATreeError if td's edges do not form a tree.
     """
-    t = td.size
-    children = [[] for _ in range(t)]
-    parent = [-1] * t
-    adj = [[] for _ in range(t)]
-    for a, b in td.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = []
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                children[x].append(y)
-                stack.append(y)
-    if len(order) != t:
-        raise NotATreeError("decomposition tree is not connected")
+    _, children, order = _rooted(td)
+    nodes = []
 
-    builder = _NiceBuilder()
-    built = {}
+    def add(kind, bag, kids, vertex=None) -> int:
+        nodes.append(NiceNode(kind, tuple(bag), kids, vertex))
+        return len(nodes) - 1
+
+    def adapt(node: int, from_bag, to_bag) -> int:
+        cur = set(from_bag)
+        to_bag = set(to_bag)
+        for v in sorted(cur - to_bag):
+            cur.remove(v)
+            node = add("forget", sorted(cur), (node,), v)
+        for v in sorted(to_bag - cur):
+            cur.add(v)
+            node = add("introduce", sorted(cur), (node,), v)
+        return node
+
+    built = [None] * td.size
     for x in reversed(order):
-        bag_sorted = tuple(sorted(td.bags[x]))
-        if not children[x]:
-            built[x] = builder.chain_from_empty(bag_sorted)
-            continue
-        branches = []
-        for c in sorted(children[x]):
-            adapted = builder.adapt(
-                built[c], tuple(sorted(td.bags[c])), bag_sorted
-            )
-            branches.append(adapted)
-        node = branches[0]
+        bag = td.bags[x]
+        branches = [adapt(built[c], td.bags[c], bag) for c in children[x]]
+        node = branches[0] if branches else adapt(add("leaf", (), ()), (), bag)
         for other in branches[1:]:
-            node = builder.add("join", bag_sorted, (node, other))
+            node = add("join", sorted(bag), (node, other))
         built[x] = node
-
-    top = built[0]
-    cur = list(sorted(td.bags[0]))
-    for v in sorted(td.bags[0]):
-        cur.remove(v)
-        top = builder.add("forget", tuple(cur), (top,), v)
-    return NiceTreeDecomposition(nodes=tuple(builder.nodes), root=top)
+    root = adapt(built[0], td.bags[0], ())
+    return NiceTreeDecomposition(nodes=tuple(nodes), root=root)

@@ -32,15 +32,14 @@ from .profiles import ProfileSpace
 
 
 def _run(instance: Instance, nice: NiceTreeDecomposition, space, keep_tables=False):
-    """(root profile set, node tables). A child table is dropped once
-    read, unless `keep_tables` and a forget or join node reads it: only
+    """(root profile set, node tables), reading the nodes in list order,
+    children first. A child table is dropped once read, unless `keep_tables` and a forget or join node reads it: only
     those tables are read again by `walk_back`."""
     graph = instance.graph
     k = instance.k
     tables: dict = {}
     take = tables.get if keep_tables else tables.pop
-    for node_id in nice.postorder():
-        node = nice.nodes[node_id]
+    for node_id, node in enumerate(nice.nodes):
         if node.kind == "leaf":
             tables[node_id] = {(): space.zero()}
         elif node.kind == "introduce":

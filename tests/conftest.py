@@ -171,11 +171,8 @@ def verify_nice(nice) -> None:
             assert nodes[a].bag == nodes[b].bag == nd.bag
         else:
             raise AssertionError(f"unknown node kind {nd.kind!r}")
-    order = nice.postorder()
-    assert order[-1] == nice.root
-    assert len(order) == len(set(order))
-    reachable = set(order)
-    assert seen_children <= reachable
+    assert nice.root == len(nodes) - 1, "the root must be the last node"
+    assert seen_children == set(range(nice.root)), "every node but the root is a child"
 
 
 def nice_occurrences_connected(nice) -> None:

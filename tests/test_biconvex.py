@@ -1,16 +1,21 @@
+import itertools
+import json
 import random
 
 import pytest
 
 from conftest import assert_witnesses
-from fkdiv import biconvex
+from fkdiv import biconvex, cli
 from fkdiv.biconvex import enumerate_guesses, solve_biconvex, solve_biconvex_connected
 from fkdiv.bipartite import biconvex_structure, verify_biconvex_ordering
 from fkdiv.cocomp import solve_cocomparability
+from fkdiv.decomposition import is_chordal
 from fkdiv.errors import OrderingNotBiconvexError, StructureMismatchError
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
+from fkdiv.instance_io import ParsedInstance, serialize_instance
 from fkdiv.oracle import brute_force
+from fkdiv.orientation import is_cocomparability
 from fkdiv.profiles import ProfileSet, ProfileSpace, uses_bitset
 from fkdiv.treedp import solve_treewidth
 
@@ -193,3 +198,62 @@ def test_middle_solves_prune_only_set_mode_cells(monkeypatch, scale):
         assert counts["prunes"] > counts["solves"]
     assert ps.best()[0] == brute_force(inst).optimum
     assert_witnesses(inst, ps)
+
+
+def convex_order(graph, side, other):
+    """The first permutation of `side`, by brute force, under which every
+    vertex of `other` has its neighbors at consecutive positions, or None."""
+    for order in itertools.permutations(side):
+        pos = {v: i for i, v in enumerate(order)}
+        if all(
+            not spots or spots[-1] - spots[0] + 1 == len(spots)
+            for spots in (sorted(pos[u] for u in graph.neighbors(w)) for w in other)
+        ):
+            return order
+    return None
+
+
+def biconvex_off_cocomparability(rng, count):
+    """`count` (graph, order_a, order_b): connected bipartite graphs with
+    sides of 3-5 vertices and biconvex orderings, none of them a
+    cocomparability graph, so the ordered DP does not apply to the whole
+    graph. The generator's biconvex family never draws one."""
+    found = []
+    while len(found) < count:
+        a, b = rng.randint(3, 5), rng.randint(3, 5)
+        side_a, side_b = range(a), range(a, a + b)
+        g = Graph(a + b, [(u, v) for u in side_a for v in side_b if rng.random() < 0.5])
+        if not g.is_connected() or is_cocomparability(g):
+            continue
+        order_a = convex_order(g, side_a, side_b)
+        order_b = order_a and convex_order(g, side_b, side_a)
+        if order_b:
+            assert verify_biconvex_ordering(g, order_a, order_b)
+            found.append((g, order_a, order_b))
+    return found
+
+
+def test_matches_brute_force_off_the_cocomparability_class():
+    rng = random.Random(0)
+    for g, order_a, order_b in biconvex_off_cocomparability(rng, 12):
+        for k in (1, 2, 3):
+            inst = Instance(g, [[rng.randint(0, 6) for _ in range(g.n)] for _ in range(k)])
+            want = brute_force(inst)
+            ps = solve_biconvex(inst, order_a, order_b, witnesses=True, prune=True)
+            assert ps.best()[0] == want.optimum
+            assert set(ps.profiles()) <= want.profiles
+            assert_witnesses(inst, ps)
+
+
+def test_cli_auto_picks_biconvex_off_the_cocomparability_class(tmp_path, capsys):
+    found = biconvex_off_cocomparability(random.Random(0), 12)
+    g, order_a, order_b = next(c for c in found if not is_chordal(c[0]))
+    inst = Instance(g, [[1 + v % 4 for v in range(g.n)], [2 + v % 3 for v in range(g.n)]])
+    path = tmp_path / "biconvex.fk"
+    path.write_text(serialize_instance(ParsedInstance(inst, order_a=order_a, order_b=order_b)))
+    assert "\no A " in path.read_text()
+    code = cli.main(["solve", "--input", str(path), "--no-timing"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["algorithm"] == "biconvex"
+    assert report["value"] == brute_force(inst).optimum

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import nice_occurrences_connected, verify_nice
 from fkdiv.decomposition import (
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     chordal_peo,
     clique_tree,
@@ -27,7 +29,7 @@ from fkdiv.errors import (
     NotATreeError,
     NotChordalError,
 )
-from fkdiv.generators import build_family
+from fkdiv.generators import FAMILIES, build_family
 from fkdiv.graphs import Graph
 
 
@@ -239,6 +241,122 @@ def test_make_nice_join_for_branching_tree():
     assert any(nd.kind == "join" for nd in nice.nodes)
     verify_nice(nice)
     nice_occurrences_connected(nice)
+
+
+class _ReferenceNiceBuilder:
+    """The nice-form builder make_nice replaced, kept verbatim with the
+    function below as a node-for-node reference."""
+
+    def __init__(self):
+        self.nodes = []
+
+    def add(self, kind, bag, children=(), vertex=None) -> int:
+        self.nodes.append(
+            NiceNode(kind=kind, bag=tuple(bag), children=tuple(children), vertex=vertex)
+        )
+        return len(self.nodes) - 1
+
+    def chain_from_empty(self, bag_sorted) -> int:
+        node = self.add("leaf", ())
+        cur: list = []
+        for v in bag_sorted:
+            cur.append(v)
+            node = self.add("introduce", tuple(cur), (node,), v)
+        return node
+
+    def adapt(self, node: int, from_bag, to_bag) -> int:
+        cur = set(from_bag)
+        for v in sorted(set(from_bag) - set(to_bag)):
+            cur.remove(v)
+            node = self.add("forget", tuple(sorted(cur)), (node,), v)
+        for v in sorted(set(to_bag) - set(from_bag)):
+            cur.add(v)
+            node = self.add("introduce", tuple(sorted(cur)), (node,), v)
+        return node
+
+
+def reference_make_nice(td):
+    t = td.size
+    children = [[] for _ in range(t)]
+    parent = [-1] * t
+    adj = [[] for _ in range(t)]
+    for a, b in td.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = []
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in sorted(adj[x]):
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                children[x].append(y)
+                stack.append(y)
+    if len(order) != t:
+        raise NotATreeError("decomposition tree is not connected")
+
+    builder = _ReferenceNiceBuilder()
+    built = {}
+    for x in reversed(order):
+        bag_sorted = tuple(sorted(td.bags[x]))
+        if not children[x]:
+            built[x] = builder.chain_from_empty(bag_sorted)
+            continue
+        branches = []
+        for c in sorted(children[x]):
+            adapted = builder.adapt(
+                built[c], tuple(sorted(td.bags[c])), bag_sorted
+            )
+            branches.append(adapted)
+        node = branches[0]
+        for other in branches[1:]:
+            node = builder.add("join", bag_sorted, (node, other))
+        built[x] = node
+
+    top = built[0]
+    cur = list(sorted(td.bags[0]))
+    for v in sorted(td.bags[0]):
+        cur.remove(v)
+        top = builder.add("forget", tuple(cur), (top,), v)
+    return NiceTreeDecomposition(nodes=tuple(builder.nodes), root=top)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_make_nice_matches_reference(family):
+    ell = 2 if family == "clique-reduction" else None
+    for n in range(2, 21):
+        for seed in range(6):
+            g = build_family(family, n, 2, 5, seed, ell).graph
+            tds = [minfill_decomposition(g)]
+            if is_chordal(g):
+                tds.append(clique_tree(g))
+            for td in tds:
+                nice = make_nice(td)
+                want = reference_make_nice(td)
+                assert nice.nodes == want.nodes and nice.root == want.root
+                verify_nice(nice)
+
+
+def test_make_nice_rejects_exactly_the_non_trees_verify_rejects():
+    rng = random.Random(27)
+    rejected = 0
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(1, 9), 0.4)
+        td = mutated(rng, g, minfill_decomposition(g))
+        verdict = outcome(verify_decomposition, g, td)
+        if verdict and verdict[0] is NotATreeError:
+            with pytest.raises(NotATreeError) as exc:
+                make_nice(td)
+            assert str(exc.value) == verdict[1]
+            rejected += 1
+        else:
+            nice = make_nice(td)
+            want = reference_make_nice(td)
+            assert nice.nodes == want.nodes and nice.root == want.root
+    assert rejected >= 100
 
 
 @settings(max_examples=80, deadline=None)

@@ -545,15 +545,23 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     "family,n,seed,extra,solve_spans",
     [
         ("permutation", 10, 0, (), {"solve.cocomp"}),
-        ("interval", 10, 0, (), {"solve.chordal"}),
-        ("random", 12, 3, (), {"solve.treewidth"}),
+        (
+            "interval",
+            10,
+            0,
+            (),
+            {"solve.chordal", "decomposition.clique_tree", "decomposition.make_nice"},
+        ),
+        ("random", 12, 3, (), {"solve.treewidth", "decomposition.make_nice"}),
         ("permutation", 10, 0, ("--epsilon", "1/2"), {"fptas.solve_approx", "solve.cocomp"}),
     ],
     ids=["cocomp", "chordal", "treewidth", "epsilon"],
 )
 def test_traced_solve_keeps_its_spans(tmp_path, family, n, seed, extra, solve_spans):
     # The benchmark's tracer wraps the solvers on fkdiv.cli, where the
-    # planner reads them; a route that binds them elsewhere loses its spans.
+    # planner reads them, and the tree DP's steps on fkdiv.treedp, where
+    # solve_chordal and solve_on_decomposition read them; a route that
+    # binds them elsewhere loses its spans.
     path = write_family(tmp_path, family, n, seed)
     argv = ["solve", "--input", str(path), "--no-timing", *extra]
     trace = tmp_path / "trace.json"
@@ -567,7 +575,8 @@ def test_traced_solve_keeps_its_spans(tmp_path, family, n, seed, extra, solve_sp
     plain = run_cli(*argv)
     assert plain.returncode == 0 and res.stdout == plain.stdout
     names = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert {name for name in names if name.startswith(("solve.", "fptas."))} == solve_spans
+    traced = ("solve.", "fptas.", "decomposition.clique_tree", "decomposition.make_nice")
+    assert {name for name in names if name.startswith(traced)} == solve_spans
 
 
 # (family, n, seed, algorithm auto picks, recognizer runs in one solve).
