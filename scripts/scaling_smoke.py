@@ -11,6 +11,14 @@ with the FPTAS on the same instances, over sizes, per-item profit caps
 (and so Q) and accuracies:
 
     python3 scripts/scaling_smoke.py --sizes 20 30 --max-profits 10 500 --epsilon 1/2 2
+
+With --tree it times, in this process and best of three runs, the tree
+route's layers: `solve_chordal(witnesses=True, prune=True)` on chordal
+instances (sizes 30 and 50 unless --sizes is given, max-profit 9), and
+the `auto` plan of a dense random n=120 graph, which the planner
+rejects while building its min-fill decomposition:
+
+    python3 scripts/scaling_smoke.py --tree
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ import argparse
 from dataclasses import dataclass
 from time import perf_counter
 
+from fkdiv import cli
 from fkdiv.cocomp import solve_cocomparability
-from fkdiv.errors import ParameterOutOfRangeError
+from fkdiv.errors import NoApplicableAlgorithmError, ParameterOutOfRangeError
 from fkdiv.fptas import solve_approx
 from fkdiv.generators import build_family
+from fkdiv.treedp import solve_chordal
 
 # Below this, timer noise dominates; treat faster baselines as this slow.
 BASELINE_FLOOR_SECONDS = 0.05
@@ -115,17 +125,61 @@ def print_fptas_table(rows) -> None:
               f" {r.exact_value:>6} {r.fptas_value:>6}", flush=True)
 
 
+def best_seconds(run, repeats: int) -> tuple:
+    """(fastest wall time of `repeats` calls of `run`, its last result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = perf_counter()
+        result = run()
+        best = min(best, perf_counter() - started)
+    return best, result
+
+
+def tree_rows(sizes, k: int = 2, seed: int = 0, repeats: int = 3):
+    """(case, n, Q, seconds, outcome) for the tree route's timed layers."""
+    for n in sizes:
+        inst = build_family("chordal", n, k, 9, seed).instance
+        seconds, pset = best_seconds(
+            lambda: solve_chordal(inst, witnesses=True, prune=True), repeats
+        )
+        yield "solve_chordal", n, inst.qbound, seconds, f"value {pset.best()[0]}"
+    dense = build_family("random", 120, k, 9, seed)
+
+    def plan():
+        try:
+            return cli._auto_algorithm(dense, "auto", 10**8, True)[0]
+        except NoApplicableAlgorithmError:
+            return "rejected"
+
+    seconds, outcome = best_seconds(plan, repeats)
+    yield "auto plan, dense", dense.graph.n, dense.instance.qbound, seconds, outcome
+
+
+def print_tree_table(rows) -> None:
+    print(f"{'case':<17} {'n':>4} {'Q':>5} {'seconds':>9}  outcome", flush=True)
+    for case, n, qbound, seconds, outcome in rows:
+        print(f"{case:<17} {n:>4} {qbound:>5} {seconds:>9.4f}  {outcome}", flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 40])
+    ap.add_argument("--sizes", type=int, nargs="+", default=None,
+                    help="instance sizes (default 10 20 40, or 30 50 with --tree)")
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epsilon", nargs="+", default=None,
                     help="accuracies for the exact-vs-FPTAS table, e.g. 1/2 2")
     ap.add_argument("--max-profits", type=int, nargs="+", default=[1, 10, 100],
                     help="per-item profit caps for the FPTAS table")
+    ap.add_argument("--tree", action="store_true",
+                    help="time the tree route's layers instead of the ordered solver")
     args = ap.parse_args()
 
+    if args.tree:
+        print_tree_table(tree_rows(args.sizes or [30, 50], k=args.k, seed=args.seed))
+        return 0
+    if args.sizes is None:
+        args.sizes = [10, 20, 40]
     if args.epsilon is not None:
         print_fptas_table(fptas_rows(
             args.sizes, args.max_profits, args.epsilon, k=args.k, seed=args.seed

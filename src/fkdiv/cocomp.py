@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .graphs import Instance
 from .orientation import Orientation, complement_orientation
-from .profiles import ProfileSpace, uses_bitset
+from .profiles import ProfileSet, ProfileSpace, uses_bitset
 
 
 def initial_table(space) -> dict:
@@ -101,6 +101,20 @@ def iter_layer_tables(instance: Instance, orientation: Orientation, space):
         yield j, v, table
 
 
+def start_key(table: dict, profile):
+    """Smallest key of `table` whose cell holds `profile`, or None.
+
+    Packed cells, which all share one shape, test the profile's bit,
+    packed once; other cells test membership."""
+    first = next(iter(table.values()))
+    if isinstance(first, ProfileSet) and first._bits is not None:
+        idx = first.packed_index(profile)
+        if idx is None:
+            return None
+        return min((key for key, cell in table.items() if cell._bits >> idx & 1), default=None)
+    return min((key for key, cell in table.items() if profile in cell), default=None)
+
+
 def walk_back(instance: Instance, orientation: Orientation, table: dict):
     """Witness recovery over a finished `table`: profile -> coloring.
 
@@ -114,7 +128,7 @@ def walk_back(instance: Instance, orientation: Orientation, table: dict):
     pos = {v: i + 1 for i, v in enumerate(order)}
 
     def witness(profile):
-        key = min((key for key, cell in table.items() if profile in cell), default=None)
+        key = start_key(table, profile)
         if key is None:
             raise KeyError(profile)
         p = list(profile)

@@ -48,24 +48,40 @@ def mcs_order(graph: Graph):
 def chordal_peo(graph: Graph) -> tuple:
     """Perfect elimination ordering, or NotChordalError.
 
-    Runs maximum cardinality search and checks, as each vertex is
-    visited, that its already-visited neighbors form a clique, so a
-    non-chordal graph is rejected at its first bad vertex. The reversed
-    visit order is an elimination ordering where every vertex's later
-    neighbors are mutually adjacent.
+    Runs maximum cardinality search and checks, as each vertex v is
+    visited, that its already-visited neighbors other than the latest
+    visited one, p, are neighbors of p (Tarjan & Yannakakis 1984). If
+    every earlier vertex passed, p's visited neighbors form a clique, so
+    v's do too: the first vertex that fails is the first whose visited
+    neighbors are not a clique, where the search stops and names the
+    smallest non-adjacent pair. p is found by bisecting the visited
+    prefixes for the shortest one holding every visited neighbor. The
+    reversed visit order is an elimination ordering where every vertex's
+    later neighbors are mutually adjacent.
     """
+    masks = graph.masks
     order = []
-    seen = 0
+    seen = [0]  # seen[j]: the first j visited vertices
     for v in mcs_order(graph):
-        back = graph.masks[v] & seen
-        for a in iter_bits(back):
-            # Visited neighbors of v above a that are not adjacent to a.
-            missing = (back >> (a + 1) << (a + 1)) & ~graph.masks[a]
-            if missing:
-                b = next(iter_bits(missing))
-                raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
-        seen |= 1 << v
+        back = masks[v] & seen[-1]
+        if back:
+            lo, hi = 1, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if back & ~seen[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            p = order[lo - 1]
+            if back & ~masks[p] & ~(1 << p):
+                for a in iter_bits(back):
+                    # Visited neighbors of v above a that are not adjacent to a.
+                    missing = (back >> (a + 1) << (a + 1)) & ~masks[a]
+                    if missing:
+                        b = next(iter_bits(missing))
+                        raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
         order.append(v)
+        seen.append(seen[-1] | 1 << v)
     return tuple(reversed(order))
 
 
@@ -244,19 +260,24 @@ def clique_tree(graph: Graph, peo=None) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(td.bags[h] for h in heads), edges=edges)
 
 
-def _min_fill_vertex(live: list, alive: set) -> tuple:
-    """(v, v's alive neighbors) for the alive vertex whose elimination
-    adds the fewest fill edges, lowest id on ties."""
+def _min_fill_vertex(live: list, alive: int) -> tuple:
+    """(v, v's alive neighbors as a mask) for the alive vertex whose
+    elimination adds the fewest fill edges, lowest id on ties.
+
+    `live[v]` is v's neighbor mask, fill included, and `alive` the mask
+    of vertices not yet eliminated. The fill of v is the number of
+    non-adjacent pairs among its d alive neighbors; twice that is
+    d(d-1) less the adjacent pairs, each counted from both ends. A
+    vertex without fill ends the search, as no later one can beat it."""
     best = None
-    for v in sorted(alive):
-        nbrs = [u for u in live[v] if u in alive]
-        fill = 0
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in live[a]:
-                    fill += 1
+    for v in iter_bits(alive):
+        nbrs = live[v] & alive
+        d = nbrs.bit_count()
+        fill = d * (d - 1) - sum((live[a] & nbrs).bit_count() for a in iter_bits(nbrs))
         if best is None or fill < best[0]:
             best = (fill, v, nbrs)
+            if not fill:
+                break
     return best[1:]
 
 
@@ -272,24 +293,29 @@ def minfill_decomposition(
 
     With `max_bag` set, returns None as soon as the chosen vertex's bag
     has more than `max_bag` vertices, which happens exactly when the
-    full decomposition has width + 1 > `max_bag`.
+    full decomposition has width + 1 > `max_bag`. A step where every
+    alive vertex has at least `max_bag` alive neighbors returns None
+    before any fill is counted: whichever vertex it would choose has
+    too large a bag.
     """
     n = graph.n
-    live = [set(graph.neighbors(v)) for v in range(n)]
-    alive = set(range(n))
+    live = list(graph.masks)
+    alive = (1 << n) - 1
     order = []
     later = []
     for _ in range(n):
-        v, nbrs = _min_fill_vertex(live, alive)
-        if max_bag is not None and len(nbrs) + 1 > max_bag:
+        if max_bag is not None and all(
+            (live[u] & alive).bit_count() >= max_bag for u in iter_bits(alive)
+        ):
             return None
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                live[a].add(b)
-                live[b].add(a)
-        alive.remove(v)
+        v, nbrs = _min_fill_vertex(live, alive)
+        if max_bag is not None and nbrs.bit_count() + 1 > max_bag:
+            return None
+        for a in iter_bits(nbrs):
+            live[a] |= nbrs ^ (1 << a)
+        alive ^= 1 << v
         order.append(v)
-        later.append(nbrs)
+        later.append(tuple(iter_bits(nbrs)))
     return elimination_tree(order, later)
 
 

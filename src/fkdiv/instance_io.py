@@ -20,11 +20,11 @@ serialization is canonical, so write(parse(write(x))) == write(x).
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .decomposition import TreeDecomposition
 from .errors import DimensionMismatchError, ParseError
-from .graphs import Graph, Instance, canonical_edge, iter_bits
+from .graphs import Graph, Instance, iter_bits
 from .profiles import check_coloring, profile_of
 
 
@@ -71,8 +71,8 @@ def _first_gap(ids, count: int):
 
 def parse_instance(text: str) -> ParsedInstance:
     header = None
-    edges = []
-    seen_edges = set()
+    masks = None  # adjacency masks, set as 'e' lines are read
+    edge_count = 0
     profit_rows: dict = {}
     declared = None
     order_a = None
@@ -82,10 +82,9 @@ def parse_instance(text: str) -> ParsedInstance:
     tree_edges = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         if header is None:
             if tag != "p":
@@ -98,6 +97,9 @@ def parse_instance(text: str) -> ParsedInstance:
             if m < 0 or k < 1:
                 raise ParseError("need m >= 0 and k >= 1", lineno)
             header = (n, m, k)
+            # A file that parses lists n profits per class, so n <= len(text);
+            # a larger n is an error still to be found, and gets no n masks.
+            masks = [0] * n if n <= len(text) else defaultdict(int)
             continue
         n, m, k = header
         if tag == "p":
@@ -105,14 +107,21 @@ def parse_instance(text: str) -> ParsedInstance:
         elif tag == "e":
             if len(parts) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
-            u, v = (_vertex(x, n, lineno) for x in _ints(parts[1:], lineno, "vertex id"))
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                _ints(parts[1:], lineno, "vertex id")  # raises, naming the bad id
+                raise
+            if not (0 <= u < n and 0 <= v < n):
+                _vertex(u + 1, n, lineno)
+                _vertex(v + 1, n, lineno)  # one of them raises
             if u == v:
                 raise ParseError("self-loops are not allowed", lineno)
-            key = canonical_edge(u, v)
-            if key in seen_edges:
+            if masks[u] >> v & 1:
                 raise ParseError(f"duplicate edge {parts[1]} {parts[2]}", lineno)
-            seen_edges.add(key)
-            edges.append(key)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            edge_count += 1
         elif tag == "w":
             values = _ints(parts[1:], lineno, "profit")
             if not values:
@@ -188,8 +197,8 @@ def parse_instance(text: str) -> ParsedInstance:
     if header is None:
         raise ParseError("empty input, expected 'p fkdiv <n> <m> <k>'")
     n, m, k = header
-    if len(edges) != m:
-        raise DimensionMismatchError(f"header promises {m} edges, found {len(edges)}")
+    if edge_count != m:
+        raise DimensionMismatchError(f"header promises {m} edges, found {edge_count}")
     missing = _first_gap(profit_rows, k)
     if missing is not None:
         raise DimensionMismatchError(f"no profits for class {missing}")
@@ -213,7 +222,7 @@ def parse_instance(text: str) -> ParsedInstance:
         )
         root0 = root - 1
 
-    graph = Graph(n, edges)
+    graph = Graph._from_masks(masks)
     instance = Instance(graph, [profit_rows[j] for j in range(1, k + 1)])
     return ParsedInstance(
         instance=instance,

@@ -11,6 +11,7 @@ both set types share.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, ge, sub
 
 from .errors import EmptySetError
@@ -167,20 +168,26 @@ class ProfileSet(ProfileReads):
     def is_empty(self) -> bool:
         return len(self) == 0
 
+    def packed_index(self, profile):
+        """Bit of `profile` in a packed set of this shape, or None for a
+        profile that no such set holds. A profile of another arity, or
+        with an entry outside [0, qbound], may pack onto a member but is
+        never one."""
+        if len(profile) != self.k:
+            return None
+        idx = 0
+        for q, w in zip(profile, self._weights):
+            if not 0 <= q <= self.qbound:
+                return None
+            idx += q * w
+        return idx
+
     def __contains__(self, profile) -> bool:
         profile = tuple(profile)
         if self._set is not None:
             return profile in self._set
-        # A profile of another arity, or with an entry outside
-        # [0, qbound], may pack onto a member but is never one.
-        if len(profile) != self.k:
-            return False
-        idx = 0
-        for q, w in zip(profile, self._weights):
-            if not 0 <= q <= self.qbound:
-                return False
-            idx += q * w
-        return bool(self._bits >> idx & 1)
+        idx = self.packed_index(profile)
+        return idx is not None and bool(self._bits >> idx & 1)
 
     def profiles(self) -> list:
         """All profiles in lexicographic order."""
@@ -265,15 +272,37 @@ class ProfileSet(ProfileReads):
     def prune_dominated(self) -> "ProfileSet":
         """Keep only profiles not componentwise dominated by another entry.
 
-        Profiles are visited in descending lexicographic order, so only an
-        earlier one can dominate a later one. For k <= 2 every earlier
-        profile is at least as large in all entries but the last, so a
-        profile survives iff its last entry beats every earlier last
-        entry (a sorted sweep, after Kung, Luccio and Preparata, 1975).
+        A packed cell is pruned by whole-bitmap shifts. Moving a bit down
+        by s * w_i lowers entry i by s, masked to the positions whose
+        entry i is at most Q - s, so that no entry borrows from the next:
+        for s = 1, 2, 4, ... <= Q per class this builds the down-closure
+        D of the cell, every position some profile dominates or equals.
+        A profile is dominated iff the position one step up in some class
+        is in D. That is about 3k(log2(Q) + 1) big-int operations, with
+        masks built once per shape (`_prune_masks`).
+
+        A set-mode cell visits its profiles in descending lexicographic
+        order, so only an earlier one can dominate a later one. For k <= 2
+        every earlier profile is at least as large in all entries but the
+        last, so a profile survives iff its last entry beats every earlier
+        last entry (a sorted sweep, after Kung, Luccio and Preparata,
+        1975); for k >= 3 `maximal` compares it with every kept one.
         A traceback carries over unchanged.
         """
         if len(self) <= 1:
             return self
+        out = self._blank()
+        out.traceback = self.traceback
+        if self._bits is not None:
+            closure, step_up = _prune_masks(self.k, self.qbound)
+            down = self._bits
+            for shift, mask in closure:
+                down |= down >> shift & mask
+            dominated = 0
+            for shift, mask in step_up:
+                dominated |= down >> shift & mask
+            out._bits = self._bits & ~dominated
+            return out
         if self.k <= 2:
             kept = []
             top = -1
@@ -283,11 +312,38 @@ class ProfileSet(ProfileReads):
                     top = p[-1]
         else:
             kept = maximal(reversed(self.profiles()))
-        out = self._blank()
-        out.traceback = self.traceback
-        for p in kept:
-            out.add(p)
+        out._set = set(kept)
         return out
+
+
+@lru_cache(maxsize=16)
+def _prune_masks(k: int, qbound: int) -> tuple:
+    """(closure, step_up) shift-and-mask pairs for a packed (k, qbound) set.
+
+    With base b = qbound + 1 and w_i = b^(k-1-i) the weight of entry i,
+    M_i(t) masks the positions whose entry i is at most t. `closure`
+    holds (s * w_i, M_i(qbound - s)) for every class i and s = 1, 2, 4,
+    ... <= qbound, and `step_up` holds (w_i, M_i(qbound - 1)).
+    """
+    base = qbound + 1
+    closure = []
+    step_up = []
+    for i in range(k):
+        w = base ** (k - 1 - i)
+        period = base * w
+        # A block of `period` bits repeated once per value of the entries
+        # before i: multiplying by `repeat` copies a block without carries.
+        repeat = ((1 << period * base**i) - 1) // ((1 << period) - 1)
+
+        def at_most(t):
+            return ((1 << (t + 1) * w) - 1) * repeat
+
+        s = 1
+        while s <= qbound:
+            closure.append((s * w, at_most(qbound - s)))
+            s *= 2
+        step_up.append((w, at_most(qbound - 1)))
+    return tuple(closure), tuple(step_up)
 
 
 class ProfileSpace:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_witnesses, random_instance
 import fkdiv.cocomp as cocomp
-from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability
+from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability, start_key
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import complement_orientation, is_cocomparability
@@ -212,3 +212,38 @@ def test_row_index_builds_the_reference_tables(seed, kind):
         assert got[key].profiles() == cell.profiles(), key
         if kind == "rounded":
             assert got[key].keyed() == cell.keyed(), key
+
+
+def frozen_start_key(table, profile):
+    """The walk-back's first scan as it stood: every cell asked for the
+    profile through its generic membership test."""
+    return min((key for key, cell in table.items() if profile in cell), default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["bitset", "sets", "pruned", "rounded"]),
+)
+def test_start_key_matches_frozen_scan(seed, kind):
+    """The smallest key holding a profile, for every profile of the final
+    table and for profiles no cell holds: entries one past qbound or
+    below zero, another arity, and a lowered or raised entry."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 9), rng.randint(1, 3)
+    inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
+    assume(is_cocomparability(inst.graph))
+    inst, space = reference_space(kind, inst, rng)
+    orientation = complement_orientation(inst.graph)
+    for _j, _v, table in iter_layer_tables(inst, orientation, space):
+        pass
+    profiles = space.union(table.values()).profiles()
+    probes = list(profiles)
+    for p in profiles:
+        s = rng.randrange(k)
+        probes += [
+            p[:s] + (p[s] + d,) + p[s + 1 :] for d in (-1, 1, inst.qbound + 1 - p[s])
+        ]
+        probes += [p + (0,), p[:-1], list(p)]
+    for p in probes:
+        assert start_key(table, p) == frozen_start_key(table, p), p

@@ -30,7 +30,7 @@ from fkdiv.errors import (
     NotChordalError,
 )
 from fkdiv.generators import FAMILIES, build_family
-from fkdiv.graphs import Graph
+from fkdiv.graphs import Graph, iter_bits
 
 
 def random_graph(rng, n, density):
@@ -51,6 +51,62 @@ def test_chordal_peo_accepts_tree_and_rejects_c4():
     with pytest.raises(NotChordalError):
         chordal_peo(c4)
     assert is_chordal(tree) and not is_chordal(c4)
+
+
+def frozen_chordal_peo(graph):
+    """chordal_peo as it stood when it checked, at each visited vertex,
+    every pair of its visited neighbors for adjacency."""
+    order = []
+    seen = 0
+    for v in mcs_order(graph):
+        back = graph.masks[v] & seen
+        for a in iter_bits(back):
+            missing = (back >> (a + 1) << (a + 1)) & ~graph.masks[a]
+            if missing:
+                b = next(iter_bits(missing))
+                raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
+        seen |= 1 << v
+        order.append(v)
+    return tuple(reversed(order))
+
+
+def peo_outcome(peo, graph):
+    try:
+        return peo(graph)
+    except NotChordalError as exc:
+        return f"NotChordalError: {exc}"
+
+
+def chordal_or_near(rng):
+    """A random graph; most are made chordal by adding their min-fill
+    fill, and some of those get one edge toggled, which often breaks
+    chordality at a vertex deep in the search."""
+    n = rng.randint(0, 30)
+    g = random_graph(rng, n, rng.random())
+    if rng.random() < 0.7:
+        fill = {
+            e
+            for bag in minfill_decomposition(g).bags
+            for e in itertools.combinations(sorted(bag), 2)
+        }
+        if n >= 2 and rng.random() < 0.5:
+            fill ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        g = Graph(n, fill)
+    return g
+
+
+def test_chordal_peo_matches_frozen_pairwise_check():
+    outcomes = {True: 0, False: 0}
+    for seed in range(600):
+        g = chordal_or_near(random.Random(seed))
+        got = peo_outcome(chordal_peo, g)
+        assert got == peo_outcome(frozen_chordal_peo, g), seed
+        outcomes[isinstance(got, tuple)] += 1
+    for family in ("chordal", "interval", "random"):
+        for seed in range(8):
+            g = build_family(family, 60, 2, 1, seed).graph
+            assert peo_outcome(chordal_peo, g) == peo_outcome(frozen_chordal_peo, g)
+    assert min(outcomes.values()) >= 150
 
 
 def test_maximal_cliques_on_triangle_with_pendant():
@@ -481,3 +537,19 @@ def test_minfill_matches_reference_and_bag_bound(seed):
             assert bounded is None
         else:
             assert bounded == td
+
+
+def test_bounded_minfill_matches_reference_on_dense_graphs():
+    """On graphs of density >= 0.5, where most bounds are refused before
+    any fill is counted, every bound from 1 to n gives the reference's
+    decomposition or None exactly as its width says."""
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(2, 22)
+        g = random_graph(rng, n, rng.uniform(0.5, 1.0))
+        if g.m < 0.5 * n * (n - 1) / 2:
+            continue
+        want = reference_minfill(g)
+        for bound in range(1, n + 1):
+            got = minfill_decomposition(g, max_bag=bound)
+            assert got == (want if want.width + 1 <= bound else None), (n, bound)

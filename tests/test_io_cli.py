@@ -693,16 +693,22 @@ def test_auto_rejects_dense_graph_after_one_elimination_at_most(
     pick = decomposition._min_fill_vertex
 
     def counted(live, alive):
-        steps.append(len(alive))
+        steps.append(alive)
         return pick(live, alive)
 
     monkeypatch.setattr(decomposition, "_min_fill_vertex", counted)
-    # k=2: 3^10 <= MINFILL_CELL_LIMIT < 3^11, so auto's bag bound is 10.
+    # k=2: 3^10 <= MINFILL_CELL_LIMIT < 3^11, so auto's bag bound is 10,
+    # and every vertex already has at least 10 neighbors.
+    assert min(mask.bit_count() for mask in graph.masks) >= 10
     assert decomposition.minfill_decomposition(graph, max_bag=10) is None
-    assert len(steps) <= 1
-    steps.clear()
+    assert steps == []
     path = tmp_path / "dense.fk"
     path.write_text(serialize_instance(parsed))
     code, out = solve_in_process(capsys, path)
     assert code == 3 and out == ""
-    assert len(steps) <= 1
+    assert steps == []
+    # The bound also counts the fill a chosen vertex adds: on the
+    # clique-plus-C5 graphs every C5 vertex has two neighbors, so min-fill
+    # picks before it refuses.
+    assert decomposition.minfill_decomposition(clique_plus_c5(11).graph, max_bag=10) is None
+    assert steps

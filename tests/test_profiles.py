@@ -204,6 +204,39 @@ def test_prune_matches_reference_loop(data):
     assert got.traceback is repr
 
 
+def frozen_maximal(vectors) -> list:
+    """`maximal` as it stood when packed cells were still unpacked and
+    swept: distinct vectors in descending lexicographic order, each kept
+    unless a kept one is at least as large in every entry."""
+    kept = []
+    for p in vectors:
+        if not any(all(a >= b for a, b in zip(q, p)) for q in kept):
+            kept.append(p)
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_prune_by_shifts_matches_frozen_maximal(data):
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    top = max(q for q in range(40) if (q + 1) ** k <= BITSET_LIMIT)
+    qbound = data.draw(st.integers(min_value=0, max_value=top))
+    # A narrow entry range makes ties in single entries common; rows may
+    # repeat, and a packed set stores each profile once.
+    high = data.draw(st.integers(min_value=0, max_value=qbound))
+    rows = data.draw(
+        st.lists(st.tuples(*[st.integers(min_value=0, max_value=high)] * k), max_size=40)
+    )
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    ps = filled(k, qbound, rows)
+    assert ps._bits is not None
+    ps.traceback = repr
+    before = ps._bits
+    got = ps.prune_dominated()
+    assert got.profiles() == sorted(frozen_maximal(sorted(set(rows), reverse=True)))
+    assert got.traceback is repr and ps._bits == before
+
+
 @pytest.mark.parametrize("qbound", [3, BITSET_LIMIT])
 def test_contains_rejects_foreign_profiles_in_both_modes(qbound):
     ps = filled(2, qbound, [(1, 1)])

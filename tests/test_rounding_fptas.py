@@ -300,3 +300,19 @@ def test_scaling_smoke_fptas_table_rows(monkeypatch):
     ]
     for r in rows[::2]:
         assert r.fptas_value <= r.exact_value <= r.fptas_value * Fraction(3, 2)
+
+
+def test_scaling_smoke_tree_rows(monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scaling_smoke.py"
+    spec = importlib.util.spec_from_file_location("scaling_smoke", script)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    rows = list(mod.tree_rows((8, 12), repeats=1))
+    assert [(case, n) for case, n, *_ in rows] == [
+        ("solve_chordal", 8), ("solve_chordal", 12), ("auto plan, dense", 120)
+    ]
+    for case, n, qbound, seconds, outcome in rows[:2]:
+        inst = build_family("chordal", n, 2, 9, 0).instance
+        assert outcome == f"value {brute_force(inst).optimum}" and seconds >= 0
+    assert rows[2][4] == "rejected"
