@@ -250,15 +250,18 @@ def mutate(lines, kind, rng, n):
     """One mutation of `kind` at a place and with a value `rng` picks, on
     the lines of a file whose header said n vertices."""
     lines = list(lines)
+    if not lines:
+        return lines
     at = rng.randrange(len(lines))
     head = [i for i, line in enumerate(lines) if len(line.split()) == 5 and line[0] == "p"]
+    # Edge lines an earlier mutation left whole: 'e <u> <v>' and nothing else.
+    edges = [i for i, line in enumerate(lines) if line.startswith("e ") and len(line.split()) == 3]
     if kind == "token":
         parts = lines[at].split()
         if parts:
             parts[rng.randrange(len(parts))] = rng.choice(BAD_TOKENS + [str(n), str(n + 1)])
             lines[at] = " ".join(parts)
     elif kind == "edge-token":
-        edges = [i for i, line in enumerate(lines) if line.startswith("e ")]
         if edges:
             i = rng.choice(edges)
             parts = lines[i].split()
@@ -268,9 +271,8 @@ def mutate(lines, kind, rng, n):
         v = rng.randint(1, n)
         lines.insert(max(at, 1), f"e {v} {v}")
     elif kind == "duplicate":
-        edges = [line for line in lines if line.startswith("e ")]
         if edges:
-            _, u, v = rng.choice(edges).split()
+            _, u, v = lines[rng.choice(edges)].split()
             lines.insert(max(at, 1), f"e {u} {v}" if rng.random() < 0.5 else f"e {v} {u}")
     elif kind == "count" and head:
         p, tag, n_, m, k = lines[head[0]].split()
