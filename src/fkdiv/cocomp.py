@@ -54,11 +54,11 @@ def layer_step(
     the row index of `table` (one dict per class s, from the other k-1
     positions of a key to {its position of class s: cell}). The target
     with j at slot s and other positions x is built from the cells of
-    row x of class s at predecessor positions: one `space.union` of them,
-    reading whichever is smaller of the row and `pred_positions`, and
-    extended once. Mutates `table` and `rows` in place, after every
-    target is built; existing states stand for colorings that skip the
-    vertex and stay as they are.
+    row x of class s at predecessor positions, read from whichever is
+    smaller of the row and `pred_positions`, by one
+    `space.extended_union`. Mutates `table` and `rows` in place, after
+    every target is built; existing states stand for colorings that skip
+    the vertex and stay as they are.
     """
     built = []
     for s, class_rows in enumerate(rows):
@@ -69,7 +69,7 @@ def layer_step(
                 sources = [row[i] for i in pred_positions if i in row]
             if sources:
                 target = x[:s] + (j,) + x[s:]
-                cell = space.union(sources).extended(s, vertex_profits[s])
+                cell = space.extended_union(sources, s, vertex_profits[s])
                 built.append((target, space.finalize(cell)))
     table.update(built)
     index_states(rows, built)

@@ -3,29 +3,43 @@
 Running any space-aware solver on a rounded space caps each class at
 O(n * log UB / eps) grid indices, n items and UB its largest total,
 while keeping true profiles alongside, so the reported value is always
-realizable and, for the ordered solver, at least the optimum divided by
-1+eps. States hold no witnesses: the solver walks the best truth back
-through its tables, by the rule it uses for exact sets. The accuracy
-parameter must arrive as an exact decimal string or Fraction; binary
-floats would silently change the grid. An accuracy whose grid would
-need more than MAX_INDEX_RANGE indices per class is refused with
-ParameterOutOfRangeError.
+realizable; it is at least the optimum divided by 1+eps on the ordered
+solver and by r^D on the tree DP (below). States hold no witnesses: the
+solver walks the best truth back through its tables, by the rule it
+uses for exact sets. The accuracy parameter must arrive as an exact
+decimal string or Fraction; binary floats would silently change the
+grid. An accuracy whose grid would need more than MAX_INDEX_RANGE
+indices per class is refused with ParameterOutOfRangeError.
 
-Every cell is pruned by joint dominance: a state (key K, truth T) is
-dropped when another state of its cell has K' >= K and T' >= T in every
-entry. The (1+eps) bound of the ordered solver still holds. Take an
-optimal coloring and the key sequence K*_0, K*_1, ... that its own
-items would produce cell by cell through `RoundingGrid.extend`; the
-last key satisfies r^K* >= opt/(1+eps) in every class, since each
-class loses at most one factor r per item and r^n <= 1+eps. By induction, the pruned run holds in each of those cells
-a state with key >= K*_i: a prune drops a state only for one with a key
-at least as large, a collision keeps the key and replaces only the
-truth, and `extend` is monotone in its index, so extending the covering
-state by the optimum's next item gives a key >= K*_(i+1). Every state
-keeps r^K <= T, so the final covering state has a truth whose minimum
-is at least opt/(1+eps). A prune on truths alone would break the
-induction: a state with the larger truth may carry the smaller key,
-since a key records how its truth was rounded on the way.
+The bound is a covering induction (after Woeginger's trimming of
+dominated states, INFORMS J. Comput. 2000). A state's key is the grid
+index of its own truth, so two truths with one key lie within a factor
+r of each other in every class. Call a truth A a cover of an exact
+profile T at depth i when A >= T / r^i in every class.
+
+- Adding profit p to one class of a cover keeps it a cover at the same
+  depth, as A + p >= (T + p) / r^i; the sum of two covers is a cover
+  at the larger of their depths.
+- A cell build costs at most one factor r. Every collision in a build
+  compares truths at their own final keys (the ordered DP extends each
+  source before the fold, `RoundedProfileSpace.extended_union`), so the
+  truth that keeps a cover's key is a cover one level deeper. A prune
+  drops a truth only for one at least as large in every class.
+- The ordered DP builds one cell per item of a coloring: an optimal
+  coloring with m <= n items ends in a cell holding a cover of its
+  profile at depth m. The final union keeps, per key, the truth with
+  the higher minimum, and its prune a truth at least as large, so the
+  value is at least opt / r^m >= opt / r^n >= opt / (1+eps).
+- In the tree DP a forget node extends and folds, and a join combines
+  and re-rounds; each is one build, and an introduce node shares its
+  child's cells. The root therefore holds a cover at depth D, the
+  largest number of forget and join nodes on a root-leaf path of the
+  nice decomposition, and the value is at least opt / r^D. The grid is
+  sized by n and D may exceed n, so this bound may be weaker than
+  1+eps. The biconvex route's bound is tested, not proven.
+
+`paired_rounding_check` checks the covering invariant on the ordered
+DP, cell by cell, against an exact run.
 """
 
 from __future__ import annotations
@@ -36,8 +50,8 @@ from fractions import Fraction
 from .cocomp import iter_layer_tables, solve_cocomparability
 from .graphs import Instance
 from .orientation import complement_orientation
-from .profiles import ProfileSpace
-from .rounding import ZERO, RoundedProfileSpace, RoundingGrid
+from .profiles import ProfileSpace, undominated
+from .rounding import B, RoundedProfileSpace, RoundingGrid
 
 
 def parse_epsilon(value) -> Fraction:
@@ -88,48 +102,20 @@ def solve_approx(instance: Instance, epsilon, solver=solve_cocomparability) -> F
     )
 
 
-def _record_derivations(instance: Instance, grid, table, j, vertex, preds, derived) -> None:
-    """Store under (cell key, state key) in `derived`, for each state of
-    the cells written at layer j, the per-class item counts of one real
-    derivation: a source state, in the cell with a predecessor position
-    in place of j, that `extended` would carry onto this very key and
-    truth."""
-    for key, cell in table.items():
-        if j not in key:
-            continue
-        s = key.index(j)
-        p = instance.profit(s, vertex)
-        images: dict = {}
-        for i in sorted(preds):
-            source = key[:s] + (i,) + key[s + 1 :]
-            if source not in table:
-                continue
-            for src_key, true in table[source].keyed():
-                image = (
-                    src_key[:s] + (grid.extend(src_key[s], p),) + src_key[s + 1 :],
-                    true[:s] + (true[s] + p,) + true[s + 1 :],
-                )
-                counts = derived[source, src_key]
-                images.setdefault(image, counts[:s] + (counts[s] + 1,) + counts[s + 1 :])
-        for state in cell.keyed():
-            if state not in images:
-                raise AssertionError(f"layer {j} cell {key}: no source state derives {state}")
-            derived[key, state[0]] = images[state]
-
-
 def paired_rounding_check(instance: Instance, epsilon) -> dict:
-    """Run the ordered solver exactly and rounded in lockstep and verify
-    the rounding invariants layer by layer.
+    """Run the ordered solver exactly and rounded in lockstep and check
+    the rounding layer by layer.
 
-    Checks, per layer: both runs materialize exactly the same state
-    keys (the rounding never changes which states exist, only what each
-    one holds); every rounded entry keeps a grid value at most its true
-    profit; the true profit stays within one grid factor per item added
-    to that class; and the sentinel index appears exactly for classes
-    with true profit zero. Items are counted along one real derivation
-    of each state, matched on key and truth (`_record_derivations`).
-    The rounded space prunes, as in `solve_approx`. Returns counters of
-    everything checked.
+    Both runs must hold the same cell keys at every layer: the rounding
+    never changes which cells exist, only what each one holds. Each cell
+    is checked once, at the layer j of its largest position: every
+    state's key is `grid.round_profile` of its truth, which puts the
+    truth in [r^key, r^(key+1)) and the sentinel exactly at zero; every
+    truth is in the exact cell; and every undominated exact profile T
+    of the cell has a truth A with A * num^j >= T * 2^(Bj) in every
+    class, the covering invariant of the bound above. The exact run
+    keeps every profile, and the rounded one prunes, as in
+    `solve_approx`. Returns counters of everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
@@ -139,48 +125,31 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
 
     exact_run = iter_layer_tables(instance, orientation, exact_space)
     rounded_run = iter_layer_tables(instance, orientation, rounded_space)
-    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
-    zero = (0,) * instance.k
-    derived = {(zero, (ZERO,) * instance.k): zero}
     layers = cells = entries = 0
-    for (j1, v1, exact_table), (j2, _v2, rounded_table) in zip(
+    for (j, _v1, exact_table), (_j2, _v2, rounded_table) in zip(
         exact_run, rounded_run, strict=True
     ):
-        assert j1 == j2
         if exact_table.keys() != rounded_table.keys():
-            raise AssertionError(
-                f"layer {j1}: exact and rounded state keys differ"
-            )
-        if v1 is not None:
-            preds = {0, *(pos[u] for u in orientation.in_neighbors(v1))}
-            _record_derivations(instance, grid, rounded_table, j1, v1, preds, derived)
+            raise AssertionError(f"layer {j}: exact and rounded state keys differ")
         layers += 1
+        gain, loss = grid.num**j, 1 << B * j
         for key, states in rounded_table.items():
+            if max(key) != j:
+                continue
             cells += 1
+            exact = exact_table[key]
             for idx_key, true in states.keyed():
                 entries += 1
-                counts = derived[key, idx_key]
-                for cls in range(instance.k):
-                    t = idx_key[cls]
-                    q = true[cls]
-                    additions = counts[cls]
-                    if t == ZERO:
-                        if q != 0:
-                            raise AssertionError(
-                                f"layer {j1} cell {key}: sentinel with profit {q}"
-                            )
-                        continue
-                    if q == 0:
-                        raise AssertionError(
-                            f"layer {j1} cell {key}: zero profit at index {t}"
-                        )
-                    if not grid.endpoint_le_value(t, q):
-                        raise AssertionError(
-                            f"layer {j1} cell {key}: grid value exceeds truth"
-                        )
-                    if not grid.value_le_endpoint(q, additions + t):
-                        raise AssertionError(
-                            f"layer {j1} cell {key}: truth drifted beyond "
-                            f"{additions} grid factors"
-                        )
+                if idx_key != grid.round_profile(true):
+                    raise AssertionError(
+                        f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
+                    )
+                if true not in exact:
+                    raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
+            truths = states.profiles()
+            for t in undominated(exact.profiles(), instance.k):
+                if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
+                    raise AssertionError(
+                        f"layer {j} cell {key}: no truth covers {t} within r^{j}"
+                    )
     return {"layers": layers, "cells": cells, "entries": entries}

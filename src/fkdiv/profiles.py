@@ -38,15 +38,28 @@ def profile_of(instance, coloring):
     )
 
 
-def maximal(vectors) -> list:
-    """The vectors that no other one dominates componentwise.
+def undominated(profiles, k: int) -> list:
+    """The distinct profiles of arity k that no other one dominates
+    componentwise, in descending lexicographic order; `profiles` may
+    repeat one.
 
-    `vectors` must be distinct and in descending lexicographic order, so
-    that only an earlier vector can dominate a later one; each is kept
-    unless a kept one is at least as large in every entry. O(m * kept).
+    Sorted descending, only an earlier profile can dominate a later one.
+    For k <= 2 every earlier profile is at least as large in all entries
+    but the last, so a profile survives iff its last entry beats every
+    earlier last entry: a sorted sweep (after Kung, Luccio and Preparata,
+    1975) in O(m log m). For k >= 3 each profile is compared with every
+    kept one, O(m * kept).
     """
+    ordered = sorted(profiles, reverse=True)
     kept = []
-    for p in vectors:
+    if k <= 2:
+        top = -1
+        for p in ordered:
+            if p[-1] > top:
+                kept.append(p)
+                top = p[-1]
+        return kept
+    for p in ordered:
         if not any(all(map(ge, q, p)) for q in kept):
             kept.append(p)
     return kept
@@ -281,12 +294,7 @@ class ProfileSet(ProfileReads):
         is in D. That is about 3k(log2(Q) + 1) big-int operations, with
         masks built once per shape (`_prune_masks`).
 
-        A set-mode cell visits its profiles in descending lexicographic
-        order, so only an earlier one can dominate a later one. For k <= 2
-        every earlier profile is at least as large in all entries but the
-        last, so a profile survives iff its last entry beats every earlier
-        last entry (a sorted sweep, after Kung, Luccio and Preparata,
-        1975); for k >= 3 `maximal` compares it with every kept one.
+        A set-mode cell keeps `undominated` of its profiles.
         A traceback carries over unchanged.
         """
         if len(self) <= 1:
@@ -303,16 +311,7 @@ class ProfileSet(ProfileReads):
                 dominated |= down >> shift & mask
             out._bits = self._bits & ~dominated
             return out
-        if self.k <= 2:
-            kept = []
-            top = -1
-            for p in reversed(self.profiles()):
-                if p[-1] > top:
-                    kept.append(p)
-                    top = p[-1]
-        else:
-            kept = maximal(reversed(self.profiles()))
-        out._set = set(kept)
+        out._set = set(undominated(self._set, self.k))
         return out
 
 
@@ -381,6 +380,11 @@ class ProfileSpace:
             for cell in cells:
                 profiles |= cell._set
         return out
+
+    def extended_union(self, cells, cls0: int, amount: int) -> ProfileSet:
+        """`union(cells)` with `amount` added at class cls0 of every
+        profile: one union, then one extension."""
+        return self.union(cells).extended(cls0, amount)
 
     def finalize(self, pset):
         if self.prune and not pset.is_empty():

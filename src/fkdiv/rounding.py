@@ -2,12 +2,14 @@
 
 Class profits are tracked as indices into the grid 1, r, r^2, ... where
 r = num / 2^B is the largest dyadic rational with B fraction bits whose
-n-th power (n = number of items) is at most 1+eps. Each item added to a
-class costs at most one factor of r, so any class total degrades by at
-most r^n <= 1+eps overall, and class totals up to UB take one of
-U = O(n * log UB / eps) indices. Every grid decision is an integer
-comparison against a per-grid table of num^e: no float and no
-irrational number enters the index arithmetic.
+n-th power (n = number of items) is at most 1+eps. A state's key is the
+grid index of its own true profile in every class, so two states with
+one key lie within a factor r of each other, and keeping one of them in
+place of the other costs at most that factor (the bound is in
+`fptas.py`). Class totals up to UB take one of U = O(n * log UB / eps)
+indices. Every grid decision is an integer comparison against a
+per-grid table of num^e: no float and no irrational number enters the
+index arithmetic.
 
 The table holds about B * U^2 / 2 bits, so a grid whose per-class index
 range would exceed MAX_INDEX_RANGE is refused before any power is built.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ParameterOutOfRangeError
-from .profiles import ProfileReads, maximal
+from .profiles import ProfileReads, undominated
 
 ZERO = -1  # grid index for an exact class total of zero
 B = 64  # fraction bits of the grid ratio r = num / 2^B
@@ -64,8 +66,7 @@ class RoundingGrid:
         self.num = nth_root_floor((ratio.numerator << B * n) // ratio.denominator, n)
         self._refuse_wide_range()
         self._powers = [1]  # num**e at position e, grown on demand
-        self._round_memo: dict = {}
-        self._extend_memo: dict = {}
+        self._round_memo = {0: ZERO}
         self.u = tuple(self._index_count(ub) for ub in self.upper_bounds)
         if max(self.u, default=0) > MAX_INDEX_RANGE:
             self._refuse(f"{max(self.u)} grid indices per class")
@@ -114,22 +115,27 @@ class RoundingGrid:
 
     # -- index arithmetic --------------------------------------------------
 
-    def _floor(self, s: int, p: int) -> int:
-        """Largest tau >= s with r^tau <= r^s + p, for p >= 0.
+    def round_down_value(self, v: int) -> int:
+        """Largest index t with r^t <= v; ZERO when v is 0.
 
-        r^x <= r^s + p is num^x <= (num^s + p * 2^(Bs)) * 2^(B(x-s)).
-        The search gallops up from s and then bisects. A probe never
-        passes the top of the power table by more than one, so the
-        table only grows one power at a time, up to tau + 1.
+        r^t <= v is num^t <= v * 2^(Bt). The search gallops up from 0 and
+        then bisects. A probe never passes the top of the power table by
+        more than one, so the table only grows one power at a time, up to
+        t + 1.
         """
-        scaled = self._power(s) + (p << B * s)
+        t = self._round_memo.get(v)
+        if t is not None:
+            return t
+        if v < 0:
+            raise ValueError("values are nonnegative")
+        powers = self._powers
 
         def le(x):
-            return self._power(x) <= scaled << B * (x - s)
+            return self._power(x) <= v << B * x
 
-        lo, step = s, 1
+        lo, step = 0, 1
         while True:
-            hi = min(lo + step, len(self._powers))
+            hi = min(lo + step, len(powers))
             if not le(hi):
                 break
             lo, step = hi, step * 2
@@ -139,72 +145,36 @@ class RoundingGrid:
                 lo = mid
             else:
                 hi = mid
+        self._round_memo[v] = lo
         return lo
 
-    def round_down_value(self, v: int) -> int:
-        """Largest index t with r^t <= v; ZERO when v is 0."""
-        if v < 0:
-            raise ValueError("values are nonnegative")
-        if v == 0:
-            return ZERO
-        t = self._round_memo.get(v)
-        if t is None:
-            t = self._round_memo[v] = self._floor(0, v - 1)
-        return t
-
     def round_profile(self, true_profile) -> tuple:
-        return tuple(self.round_down_value(q) for q in true_profile)
+        return tuple(map(self.round_down_value, true_profile))
 
-    def extend(self, t: int, p: int) -> int:
-        """Index after adding true profit p to a class at index t.
-
-        Largest tau with r^tau <= r^t + p; a fresh class rounds p itself
-        down. Each call loses at most one factor of r against the truth.
-        """
-        if p == 0:
-            return t
-        if t == ZERO:
-            return self.round_down_value(p)
-        tau = self._extend_memo.get((t, p))
-        if tau is None:
-            tau = self._extend_memo[t, p] = self._floor(t, p)
-        return tau
-
-    # -- exact value/endpoint comparisons (instrumentation) ---------------
-
-    def value_le_endpoint(self, q: int, e: int) -> bool:
-        """Whether q <= r^e, exactly: q * 2^(Be) <= num^e."""
-        if q <= 0:
-            return True
-        if e < 0:
-            return False
-        return q << B * e <= self._power(e)
-
-    def endpoint_le_value(self, e: int, q: int) -> bool:
-        """Whether r^e <= q, exactly."""
-        if e < 0:
-            return q >= 0
-        if q <= 0:
-            return False
-        return self._power(e) <= q << B * e
+    def extend(self, q: int, p: int) -> int:
+        """Index of a class total q after adding profit p: the grid index
+        of q + p, so a key never depends on how its truth was built."""
+        return self.round_down_value(q + p)
 
 
 class RoundedStateSet(ProfileReads):
-    """Rounded states: each grid key maps to one true profile.
+    """Rounded states: one true profile per grid key, where a state's key
+    is always `grid.round_profile` of its own truth.
 
     A collision keeps the truth with the higher minimum, then the
     lexicographically larger one, whatever the insertion order. The
-    reads see the distinct truths, so reported values are realizable;
-    the grid only bounds how many states coexist.
+    reads see the truths, so reported values are realizable; the grid
+    only bounds how many states coexist. A key is a monotone function of
+    its truth, so a truth at least as large as another in every class
+    also has a key at least as large.
     """
 
-    __slots__ = ("k", "grid", "_map", "_truths", "traceback")
+    __slots__ = ("k", "grid", "_map", "traceback")
 
     def __init__(self, k: int, grid: RoundingGrid):
         self.k = k
         self.grid = grid
         self._map: dict = {}
-        self._truths = None  # set of the truths, built on first lookup
         self.traceback = None
 
     def __len__(self) -> int:
@@ -214,13 +184,14 @@ class RoundedStateSet(ProfileReads):
         return not self._map
 
     def __contains__(self, truth) -> bool:
-        if self._truths is None:
-            self._truths = set(self._map.values())
-        return tuple(truth) in self._truths
+        truth = tuple(truth)
+        if min(truth, default=-1) < 0:
+            return False
+        return self._map.get(self.grid.round_profile(truth)) == truth
 
     def profiles(self) -> list:
-        """The distinct truths in lexicographic order."""
-        return sorted(set(self._map.values()))
+        """The truths in lexicographic order."""
+        return sorted(self._map.values())
 
     def keyed(self) -> list:
         """(grid key, truth) pairs sorted by key."""
@@ -230,19 +201,20 @@ class RoundedStateSet(ProfileReads):
         cur = self._map.get(key)
         if cur is None or (min(true), true) > (min(cur), cur):
             self._map[key] = true
-            self._truths = None
 
     def union_update(self, other: "RoundedStateSet") -> None:
         for key, true in other._map.items():
             self.insert(key, true)
 
     def extended(self, cls0: int, amount: int) -> "RoundedStateSet":
+        """`amount` added to class cls0 of every truth, whose key entry is
+        re-rounded from the new total."""
         out = RoundedStateSet(self.k, self.grid)
         extend = self.grid.extend
         for key, true in self._map.items():
-            nk = key[:cls0] + (extend(key[cls0], amount),) + key[cls0 + 1 :]
-            nt = true[:cls0] + (true[cls0] + amount,) + true[cls0 + 1 :]
-            out.insert(nk, nt)
+            q = true[cls0]
+            nk = key[:cls0] + (extend(q, amount),) + key[cls0 + 1 :]
+            out.insert(nk, true[:cls0] + (q + amount,) + true[cls0 + 1 :])
         return out
 
     def combine(self, other: "RoundedStateSet") -> "RoundedStateSet":
@@ -256,20 +228,15 @@ class RoundedStateSet(ProfileReads):
         return out
 
     def prune_dominated(self) -> "RoundedStateSet":
-        """Keep the states that no other state dominates jointly.
-
-        A state (key K, truth T) is dropped when another state has
-        K' >= K and T' >= T in every entry. Keys are distinct, so this is
-        a strict partial order and the kept states are its maximal
-        elements; every dropped key stays covered by a kept larger one.
-        A traceback carries over unchanged.
+        """Keep the states whose truth no other truth dominates
+        (`undominated`). A dropped truth's key is covered too, by the
+        kept truth's key. A traceback carries over unchanged.
         """
         if len(self._map) <= 1:
             return self
-        k = self.k
-        joint = sorted((key + true for key, true in self._map.items()), reverse=True)
-        out = RoundedStateSet(k, self.grid)
-        out._map = {v[:k]: v[k:] for v in maximal(joint)}
+        kept = set(undominated(self._map.values(), self.k))
+        out = RoundedStateSet(self.k, self.grid)
+        out._map = {key: t for key, t in self._map.items() if t in kept}
         out.traceback = self.traceback
         return out
 
@@ -277,7 +244,7 @@ class RoundedStateSet(ProfileReads):
 class RoundedProfileSpace:
     """Space protocol adapter so exact solvers run unchanged on the grid.
 
-    Every finished cell keeps only its jointly undominated states
+    Every finished cell keeps only its states with undominated truths
     (`RoundedStateSet.prune_dominated`).
     """
 
@@ -300,6 +267,14 @@ class RoundedProfileSpace:
         for cell in cells:
             out.union_update(cell)
         return out
+
+    def extended_union(self, cells, cls0: int, amount: int) -> RoundedStateSet:
+        """`union(cells)` with `amount` added at class cls0 of every
+        truth. Each cell is extended before the fold, so that every
+        collision compares extended truths at their own keys; a fold
+        first could keep a truth whose extension lands on another key,
+        a second factor r in one build (see `fptas.py`)."""
+        return self.union([cell.extended(cls0, amount) for cell in cells])
 
     def finalize(self, state_set):
         return state_set.prune_dominated()

@@ -147,8 +147,10 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
 
 def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space):
     """The layer step before the row index, frozen: every class scans
-    every state key for a predecessor position, and sources feeding one
-    target are unioned first and extended once."""
+    every state key for a predecessor position, and each source feeding
+    a target is extended and folded into it. Exact sets give the same
+    cell as a union extended once; rounded ones collide only at the
+    extended truths' own keys."""
     k = space.k
     accum = [dict() for _ in range(k)]
     for key, cell in table.items():
@@ -159,10 +161,10 @@ def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space
                 if acc is None:
                     acc = space.empty()
                     accum[s][target] = acc
-                acc.union_update(cell)
+                acc.union_update(cell.extended(s, vertex_profits[s]))
     for s in range(k):
         for target, acc in accum[s].items():
-            table[target] = space.finalize(acc.extended(s, vertex_profits[s]))
+            table[target] = space.finalize(acc)
 
 
 def reference_table(instance, orientation, space):

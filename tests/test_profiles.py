@@ -15,6 +15,7 @@ from fkdiv.profiles import (
     check_coloring,
     profile_of,
     satisfaction,
+    undominated,
 )
 from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
@@ -233,8 +234,10 @@ def test_packed_prune_by_shifts_matches_frozen_maximal(data):
     ps.traceback = repr
     before = ps._bits
     got = ps.prune_dominated()
-    assert got.profiles() == sorted(frozen_maximal(sorted(set(rows), reverse=True)))
+    want = frozen_maximal(sorted(set(rows), reverse=True))
+    assert got.profiles() == sorted(want)
     assert got.traceback is repr and ps._bits == before
+    assert undominated(rows, k) == want
 
 
 @pytest.mark.parametrize("qbound", [3, BITSET_LIMIT])
