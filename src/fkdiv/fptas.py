@@ -54,8 +54,38 @@ from .profiles import ProfileSpace, undominated
 from .rounding import B, RoundedProfileSpace, RoundingGrid
 
 
+# Python's default limit on int <-> str conversion; a longer accuracy
+# takes seconds to build and could not be printed.
+MAX_EPSILON_DIGITS = 4300
+_TOO_LONG = (
+    f"accuracy parameter has more than {MAX_EPSILON_DIGITS} digits"
+    " in its numerator or denominator"
+)
+
+
+def _written_digits(text: str) -> int:
+    """Digits of the longer of the numerator and denominator a decimal
+    string writes before reduction ("25e-4" writes 25 / 10^4), counted
+    without building either. Zero for "a/b" text, whose two integers
+    int() bounds itself, and for text Fraction cannot read."""
+    if "/" in text:
+        return 0
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    try:
+        shift = int(exponent or 0) - sum(map(str.isdigit, decimals))
+    except ValueError:
+        return 0
+    digits = sum(map(str.isdigit, whole + decimals))
+    return max(digits + max(shift, 0), 1 - min(shift, 0))
+
+
 def parse_epsilon(value) -> Fraction:
-    """Exact accuracy parameter from a decimal string or rational."""
+    """Exact accuracy parameter from a decimal string or rational.
+
+    A numerator or denominator of more than MAX_EPSILON_DIGITS digits, as
+    written or once reduced, is refused; a string before Fraction reads it.
+    """
     if isinstance(value, float):
         raise TypeError(
             "pass the accuracy as a string like '0.1'; floats are inexact"
@@ -65,6 +95,8 @@ def parse_epsilon(value) -> Fraction:
     elif isinstance(value, int):
         eps = Fraction(value)
     elif isinstance(value, str):
+        if _written_digits(value) > MAX_EPSILON_DIGITS:
+            raise ValueError(_TOO_LONG)
         try:
             eps = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -73,6 +105,8 @@ def parse_epsilon(value) -> Fraction:
         raise TypeError(f"unsupported accuracy type {type(value).__name__}")
     if eps <= 0:
         raise ValueError("accuracy parameter must be positive")
+    if max(eps.numerator, eps.denominator) >= 10**MAX_EPSILON_DIGITS:
+        raise ValueError(_TOO_LONG)
     return eps
 
 

@@ -7,12 +7,12 @@ grid index of its own true profile in every class, so two states with
 one key lie within a factor r of each other, and keeping one of them in
 place of the other costs at most that factor (the bound is in
 `fptas.py`). Class totals up to UB take one of U = O(n * log UB / eps)
-indices. Every grid decision is an integer comparison against a
-per-grid table of num^e: no float and no irrational number enters the
-index arithmetic.
+indices. Every grid decision is an integer comparison against the
+floors and ceilings of r^t, read exactly off num^t: no float and no
+irrational number enters the index arithmetic.
 
-The table holds about B * U^2 / 2 bits, so a grid whose per-class index
-range would exceed MAX_INDEX_RANGE is refused before any power is built.
+A grid whose per-class index range would exceed MAX_INDEX_RANGE is
+refused after at most MAX_INDEX_RANGE = 4,096 powers.
 
 A RoundedStateSet holds no witness: it answers the reads of ProfileSet,
 so each solver walks an FPTAS witness back as it does for exact sets.
@@ -20,7 +20,7 @@ so each solver walks an FPTAS witness back as it does for exact sets.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import add
 
@@ -29,7 +29,7 @@ from .profiles import ProfileReads, undominated
 
 ZERO = -1  # grid index for an exact class total of zero
 B = 64  # fraction bits of the grid ratio r = num / 2^B
-MAX_INDEX_RANGE = 4096  # largest per-class index range; table <= 64 MB
+MAX_INDEX_RANGE = 4096  # largest per-class index range
 
 
 def nth_root_floor(x: int, r: int) -> int:
@@ -52,24 +52,31 @@ def nth_root_floor(x: int, r: int) -> int:
 
 
 class RoundingGrid:
-    """Per-instance grid: index t stands for the value r^t, r^n <= 1+eps."""
+    """Per-instance grid: index t stands for the value r^t, r^n <= 1+eps.
+
+    For an integer v, r^t <= v iff ceil(r^t) <= v, and r^t >= v iff
+    floor(r^t) >= v, so each grid decision bisects one of two lists.
+    """
 
     def __init__(self, eps: Fraction, n: int, upper_bounds):
         if eps <= 0:
             raise ValueError("accuracy parameter must be positive")
         if n < 1:
             raise ValueError("grid needs at least one item")
-        self.eps = eps
         self.n = n
         self.upper_bounds = tuple(upper_bounds)
         ratio = Fraction(1) + eps
         self.num = nth_root_floor((ratio.numerator << B * n) // ratio.denominator, n)
-        self._refuse_wide_range()
-        self._powers = [1]  # num**e at position e, grown on demand
-        self._round_memo = {0: ZERO}
-        self.u = tuple(self._index_count(ub) for ub in self.upper_bounds)
+        if self.num == 1 << B:
+            self._refuse("an unbounded grid, as its ratio rounds to 1")
+        self._power = 1  # num**t for the last index t of the lists
+        self._floor, self._ceil = [1], [1]  # floor and ceiling of r^t
+        # Indices 0..MAX_INDEX_RANGE tell every range up to the limit
+        # from a wider one, which bisects to MAX_INDEX_RANGE + 1.
+        self._grow_past(max(self.upper_bounds, default=0), MAX_INDEX_RANGE + 1)
+        self.u = tuple(bisect_left(self._floor, ub) for ub in self.upper_bounds)
         if max(self.u, default=0) > MAX_INDEX_RANGE:
-            self._refuse(f"{max(self.u)} grid indices per class")
+            self._refuse(f"more than {MAX_INDEX_RANGE} grid indices per class")
 
     @classmethod
     def for_instance(cls, instance, eps: Fraction) -> "RoundingGrid":
@@ -77,76 +84,31 @@ class RoundingGrid:
         return cls(eps, max(1, instance.n), ubs)
 
     def _refuse(self, need: str):
+        # No accuracy in the text: str() of a long Fraction can raise.
         raise ParameterOutOfRangeError(
-            f"accuracy {self.eps} with {self.n} items needs {need};"
+            f"this accuracy with {self.n} items needs {need};"
             f" the limit is {MAX_INDEX_RANGE}, use a larger epsilon"
         )
 
-    def _refuse_wide_range(self) -> None:
-        """Refuse a grid whose index range is plainly over the limit.
-
-        A float estimate of log(UB) / log(r) stands in for the exact range
-        here, only so that no power table is built for a hopeless grid; the
-        exact range is checked once it is known.
-        """
-        excess = self.num - (1 << B)
-        if excess == 0:
-            self._refuse("an unbounded grid, as its ratio rounds to 1")
-        if excess >> B:
-            log_r = math.log(self.num) - B * math.log(2)
-        else:
-            log_r = math.log1p(excess / (1 << B))
-        widest = math.log(max(self.upper_bounds + (1,))) / log_r
-        if widest > MAX_INDEX_RANGE + 1:
-            self._refuse(f"about {widest:.3g} grid indices per class")
-
-    def _power(self, e: int) -> int:
-        powers = self._powers
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.num)
-        return powers[e]
-
-    def _index_count(self, ub: int) -> int:
-        """Smallest u >= 0 with r^u >= ub."""
-        if ub <= 1:
-            return 0
-        t = self.round_down_value(ub)
-        return t if self._power(t) == ub << B * t else t + 1
+    def _grow_past(self, v: int, most: int = -1) -> None:
+        """Extend the lists until ceil(r^t) > v at their last index t, or
+        until they hold `most` indices."""
+        floor, ceil = self._floor, self._ceil
+        while ceil[-1] <= v and len(ceil) != most:
+            shift = B * len(ceil)
+            self._power *= self.num
+            floor.append(self._power >> shift)
+            ceil.append(-(-self._power >> shift))
 
     # -- index arithmetic --------------------------------------------------
 
     def round_down_value(self, v: int) -> int:
-        """Largest index t with r^t <= v; ZERO when v is 0.
-
-        r^t <= v is num^t <= v * 2^(Bt). The search gallops up from 0 and
-        then bisects. A probe never passes the top of the power table by
-        more than one, so the table only grows one power at a time, up to
-        t + 1.
-        """
-        t = self._round_memo.get(v)
-        if t is not None:
-            return t
-        if v < 0:
+        """Largest index t with r^t <= v; ZERO when v is 0."""
+        if v >= self._ceil[-1]:
+            self._grow_past(v)
+        elif v < 0:
             raise ValueError("values are nonnegative")
-        powers = self._powers
-
-        def le(x):
-            return self._power(x) <= v << B * x
-
-        lo, step = 0, 1
-        while True:
-            hi = min(lo + step, len(powers))
-            if not le(hi):
-                break
-            lo, step = hi, step * 2
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if le(mid):
-                lo = mid
-            else:
-                hi = mid
-        self._round_memo[v] = lo
-        return lo
+        return bisect_right(self._ceil, v) - 1
 
     def round_profile(self, true_profile) -> tuple:
         return tuple(map(self.round_down_value, true_profile))

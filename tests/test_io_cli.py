@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,29 @@ def test_cli_tiny_epsilon_exits_2(tmp_path):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "eps, reason",
+    [
+        ("1e-4000", "the limit is 4096"),
+        ("1e-5000", "more than 4300 digits"),
+        ("1e-10000000", "more than 4300 digits"),
+        ("1e1000000", "more than 4300 digits"),
+    ],
+)
+def test_cli_extreme_epsilon_exits_2_quickly(tmp_path, eps, reason):
+    # 1e-4000 reaches the grid's refusal; the others are refused before
+    # their Fraction is built, which takes seconds for the last two.
+    inst = tmp_path / "perm.fk"
+    inst.write_text(GOOD)
+    started = time.perf_counter()
+    res = run_cli("solve", "--input", str(inst), "--epsilon", eps, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert reason in res.stderr
 
 
 def test_cli_solve_non_utf8_input_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +125,38 @@ def test_grid_index_range_limit_is_exact():
     assert RoundingGrid(Fraction(1, 10), 40, (218, 17322)).u == (2260, MAX_INDEX_RANGE)
     with pytest.raises(ParameterOutOfRangeError):
         RoundingGrid(Fraction(1, 10), 40, (17323,))
+
+
+def test_widest_grid_retains_under_a_megabyte():
+    # The widest accepted grid above: two lists of small integers and
+    # one running power, not a table of every power num^e.
+    tracemalloc.start()
+    try:
+        grid = RoundingGrid(Fraction(1, 10), 40, (218, 17322))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.u == (2260, MAX_INDEX_RANGE)
+    assert retained < 1 << 20
+
+
+def test_refusal_of_a_long_accuracy_can_be_printed():
+    # str() of this Fraction raises ValueError: its denominator has
+    # 5,001 digits, over Python's int-to-str limit.
+    with pytest.raises(ParameterOutOfRangeError) as err:
+        RoundingGrid(Fraction(1, 10**5000), 3, (10,))
+    assert "ratio rounds to 1" in str(err.value)
+
+
+def test_parse_epsilon_bounds_digits_before_building():
+    assert parse_epsilon("1e-4299") == Fraction(1, 10**4299)
+    for text in ("1e-4300", "1e-10000000", "1e1000000", "0e-10000000", "1." + "1" * 4300):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_epsilon(text)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_epsilon(Fraction(1, 10**4300))
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_epsilon(10**4300)
 
 
 def test_rounded_space_zero_state():
