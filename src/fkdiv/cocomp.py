@@ -14,13 +14,21 @@ by walking a profile back through that table instead of storing one
 coloring per profile.
 
 Next to the table sits a row index: for each class s, the other k-1
-positions x of a state map to its row, {position of class s: cell}. The
-target with the new position at slot s unions the cells of row x at
-predecessor positions, so a layer reads rows instead of scanning every
-state key, and builds each target once.
+positions x of a state map to a dense row, a list indexed by the
+position of class s that holds each state's cell (None where no state
+is). The target with the new position at slot s is built from row x's
+entries at predecessor positions, picked in one `operator.itemgetter`
+call, so a layer reads rows instead of scanning every state key, and
+builds each target once. Where cells are exact packed bitmaps that no
+prune touches, rows hold the bitmaps as plain ints (0 for no state):
+a target's bitmap is the OR of its picked ints, shifted once by the
+vertex's packed profit.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import itemgetter, or_
 
 from .graphs import Instance
 from .orientation import Orientation, complement_orientation
@@ -31,16 +39,27 @@ def initial_table(space) -> dict:
     return {(0,) * space.k: space.zero()}
 
 
-def index_states(rows, states) -> None:
-    """Add (key, cell) pairs to the row index `rows` of every class."""
-    for key, cell in states:
-        for s, class_rows in enumerate(rows):
+def _packs_ints(space) -> bool:
+    """Whether the row index under `space` holds its cells as plain ints:
+    exact packed bitmaps that no prune touches."""
+    return isinstance(space, ProfileSpace) and not space.prune and uses_bitset(space.k, space.qbound)
+
+
+def index_cells(rows, states, size: int, packed: bool, skip: int = -1) -> None:
+    """File (key, cell) pairs in the row index `rows` of every class but
+    `skip`: under the row of the key's other positions, at the key's own
+    position. New rows have `size` entries, all 0 if `packed` (rows hold
+    `cell._bits`) and None otherwise (rows hold the cells)."""
+    fill = 0 if packed else None
+    for s, class_rows in enumerate(rows):
+        if s == skip:
+            continue
+        for key, cell in states:
             x = key[:s] + key[s + 1 :]
             row = class_rows.get(x)
             if row is None:
-                class_rows[x] = {key[s]: cell}
-            else:
-                row[key[s]] = cell
+                row = class_rows[x] = [fill] * size
+            row[key[s]] = cell._bits if packed else cell
 
 
 def layer_step(
@@ -51,28 +70,44 @@ def layer_step(
     pred_positions: positions allowed as the previous latest vertex of
     the class receiving `vertex` (0 plus the positions of in-neighbors
     of `vertex`). vertex_profits: per-class profit of `vertex`. rows:
-    the row index of `table` (one dict per class s, from the other k-1
-    positions of a key to {its position of class s: cell}). The target
-    with j at slot s and other positions x is built from the cells of
-    row x of class s at predecessor positions, read from whichever is
-    smaller of the row and `pred_positions`, by one
-    `space.extended_union`. Mutates `table` and `rows` in place, after
-    every target is built; existing states stand for colorings that skip
-    the vertex and stay as they are.
+    the row index of `table` (`index_cells`): one dict per class s, from
+    the other k-1 positions x of a key to a dense row indexed by its
+    position of class s. The target with j at slot s and other
+    positions x is built from row x of class s, whose predecessor
+    entries one `itemgetter` picks. Packed exact rows hold ints, which
+    fold by OR and shift once by the profit; other rows hold cells (or
+    None), which one `space.extended_union` builds from. A target is
+    filed at once in its own row, at position j, which no pick of this
+    layer reads; rows of the other classes get it after every target is
+    built, so no row read in layer j holds a layer-j state. Existing
+    states stand for colorings that skip the vertex and stay as they are.
     """
+    packed = _packs_ints(space)
+    preds = sorted(pred_positions)
+    pick = itemgetter(*preds) if len(preds) > 1 else lambda row: (row[preds[0]],)
     built = []
     for s, class_rows in enumerate(rows):
-        for x, row in class_rows.items():
-            if len(row) <= len(pred_positions):
-                sources = [cell for i, cell in row.items() if i in pred_positions]
-            else:
-                sources = [row[i] for i in pred_positions if i in row]
-            if sources:
-                target = x[:s] + (j,) + x[s:]
-                cell = space.extended_union(sources, s, vertex_profits[s])
-                built.append((target, space.finalize(cell)))
-    table.update(built)
-    index_states(rows, built)
+        made = []
+        if packed:
+            amount = vertex_profits[s]
+            for x, row in class_rows.items():
+                bits = reduce(or_, pick(row))
+                if bits:
+                    cell = space.extended_bits(bits, s, amount)
+                    row[j] = cell._bits
+                    made.append((x[:s] + (j,) + x[s:], cell))
+        else:
+            for x, row in class_rows.items():
+                sources = [cell for cell in pick(row) if cell is not None]
+                if sources:
+                    cell = space.finalize(space.extended_union(sources, s, vertex_profits[s]))
+                    row[j] = cell
+                    made.append((x[:s] + (j,) + x[s:], cell))
+        built.append(made)
+    size = len(next(iter(rows[0].values())))
+    for s, made in enumerate(built):
+        table.update(made)
+        index_cells(rows, made, size, packed, skip=s)
 
 
 def iter_layer_tables(instance: Instance, orientation: Orientation, space):
@@ -91,7 +126,7 @@ def iter_layer_tables(instance: Instance, orientation: Orientation, space):
     pos = {v: i + 1 for i, v in enumerate(order)}
     table = initial_table(space)
     rows = [{} for _ in range(space.k)]
-    index_states(rows, table.items())
+    index_cells(rows, table.items(), len(order) + 1, _packs_ints(space))
     yield 0, None, table
     for j, v in enumerate(order, start=1):
         preds = {0}

@@ -100,7 +100,10 @@ def parse_epsilon(value) -> Fraction:
         try:
             eps = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot read accuracy parameter {value!r}") from None
+            shown = repr(value)
+            if len(shown) > 60:
+                shown = shown[:60] + "..."
+            raise ValueError(f"cannot read accuracy parameter {shown}") from None
     else:
         raise TypeError(f"unsupported accuracy type {type(value).__name__}")
     if eps <= 0:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,14 @@ from fkdiv.instance_io import ParsedInstance
 from fkdiv.orientation import is_cocomparability
 from fkdiv.profiles import check_coloring, profile_of
 from fkdiv.treedp import solve_chordal, solve_treewidth
+
+# `pythonpath` in pyproject.toml reaches only the pytest process; tests
+# that run `python -m fkdiv.cli` in a child find this checkout's package
+# through the environment they inherit.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 CORPUS_FAMILIES = ("edgeless", "interval", "chordal", "biconvex", "random")
 PER_FAMILY = 200

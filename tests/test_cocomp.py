@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conftest import assert_witnesses, random_instance
 import fkdiv.cocomp as cocomp
 from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability, start_key
+from fkdiv.fptas import solve_approx
+from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import complement_orientation, is_cocomparability
@@ -214,6 +216,69 @@ def test_row_index_builds_the_reference_tables(seed, kind):
         assert got[key].profiles() == cell.profiles(), key
         if kind == "rounded":
             assert got[key].keyed() == cell.keyed(), key
+
+
+def complete_instance(rng, n, k, cap):
+    """K_n: its complement has no arcs, so every vertex's only
+    predecessor position is 0."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [[rng.randint(0, cap) for _ in range(n)] for _ in range(k)]
+    return Instance(Graph(n, edges), rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["permutation", "interval", "complete"]),
+)
+def test_packed_gather_builds_the_reference_tables_at_larger_n(seed, family):
+    """Packed exact tables for k 1-3 and n up to 40, against the frozen
+    loop. Profits stay small enough for every k to pack. The first
+    vertex of every order has no in-neighbor, and K_n has none at all,
+    so the lone-predecessor pick runs on every example."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    n = rng.randint(1, 40)
+    cap = (9, 9, 1)[k - 1]
+    if family == "complete":
+        inst = complete_instance(rng, n, k, cap)
+    else:
+        inst = build_family(family, n, k, cap, seed).instance
+    assert uses_bitset(inst.k, inst.qbound)
+    orientation = complement_orientation(inst.graph)
+    lone = [v for v in orientation.order if not orientation.in_neighbors(v)]
+    assert lone[0] == orientation.order[0]
+    if family == "complete":
+        assert len(lone) == n
+    space = ProfileSpace.for_instance(inst, prune=rng.random() < 0.5)
+    want = reference_table(inst, orientation, ProfileSpace.for_instance(inst))
+    for _j, _v, got in iter_layer_tables(inst, orientation, space):
+        pass
+    assert got.keys() == want.keys()
+    for key, cell in want.items():
+        assert got[key]._bits == cell._bits, key
+
+
+def test_layer_step_runs_once_per_layer_through_the_module_global(monkeypatch):
+    """A wrapper on `cocomp.layer_step` sees every layer, and reads the
+    table from the first argument after each call, as a tracer would."""
+    inst = build_family("permutation", 12, 2, 3, 7).instance
+    assert uses_bitset(inst.k, inst.qbound)
+    calls = []
+    step = cocomp.layer_step
+
+    def counting(*args):
+        step(*args)
+        calls.append(len(args[0]))
+
+    monkeypatch.setattr(cocomp, "layer_step", counting)
+    solve_cocomparability(inst, witnesses=True, prune=True).best()
+    assert len(calls) == inst.graph.n
+    assert calls == sorted(calls) and calls[-1] > 1
+    calls.clear()
+    solve_approx(inst, Fraction(1, 2))
+    assert len(calls) == inst.graph.n
+    assert calls[-1] > 1
 
 
 def frozen_start_key(table, profile):

@@ -476,6 +476,18 @@ def test_cli_extreme_epsilon_exits_2_quickly(tmp_path, eps, reason):
     assert reason in res.stderr
 
 
+@pytest.mark.parametrize("eps", ["1e" + "9" * 5000, "x" + "y" * 3000])
+def test_cli_unreadable_long_epsilon_echoes_a_short_prefix(tmp_path, eps):
+    inst = tmp_path / "perm.fk"
+    inst.write_text(GOOD)
+    res = run_cli("solve", "--input", str(inst), "--epsilon", eps, timeout=10)
+    assert res.returncode == 2
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert len(res.stderr.encode()) < 200
+    assert repr(eps[:20])[:-1] in res.stderr and "..." in res.stderr
+
+
 def test_cli_solve_non_utf8_input_exit_2(tmp_path):
     inst = tmp_path / "bad.fk"
     inst.write_bytes(GOOD.encode() + b"c \xff\n")
