@@ -24,8 +24,13 @@ rejects while building its min-fill decomposition:
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
+
+# Run from a checkout without installing: this checkout's `src/` goes first.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fkdiv import cli
 from fkdiv.cocomp import solve_cocomparability

@@ -17,52 +17,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "DecompositionError",
-    "EmptySetError",
-    "FkdivError",
-    "FptasResult",
-    "Graph",
-    "Instance",
-    "NoApplicableAlgorithmError",
-    "NotChordalError",
-    "NotCocomparabilityError",
-    "OrderingNotBiconvexError",
-    "ParseError",
-    "ParsedInstance",
-    "ProfileSet",
-    "ProfileSpace",
-    "StructureMismatchError",
-    "TreeDecomposition",
-    "brute_force",
-    "build_report",
-    "chordal_peo",
-    "clique_tree",
-    "decide_satisfaction_at_least",
-    "is_chordal",
-    "is_cocomparability",
-    "make_nice",
-    "max_weight_independent_set",
-    "minfill_decomposition",
-    "paired_rounding_check",
-    "parse_epsilon",
-    "parse_instance",
-    "profile_of",
-    "satisfaction",
-    "serialize_instance",
-    "solve_approx",
-    "solve_biconvex",
-    "solve_chordal",
-    "solve_cocomparability",
-    "solve_on_decomposition",
-    "solve_treewidth",
-    "transitive_orientation",
-    "validate_report",
-    "verify_decomposition",
-    "__version__",
-]
-
 _EXPORTS = {
     "biconvex": ("solve_biconvex",),
     "cocomp": ("solve_cocomparability",),
@@ -102,6 +56,7 @@ _EXPORTS = {
     "treedp": ("solve_chordal", "solve_on_decomposition", "solve_treewidth"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*sorted(_HOME), "__version__"]
 
 
 def __getattr__(name):

@@ -19,8 +19,8 @@ position of class s that holds each state's cell (None where no state
 is). The target with the new position at slot s is built from row x's
 entries at predecessor positions, picked in one `operator.itemgetter`
 call, so a layer reads rows instead of scanning every state key, and
-builds each target once. Where cells are exact packed bitmaps that no
-prune touches, rows hold the bitmaps as plain ints (0 for no state):
+builds each target once. Where cells are exact packed bitmaps, rows
+hold the bitmaps as plain ints (0 for no state):
 a target's bitmap is the OR of its picked ints, shifted once by the
 vertex's packed profit.
 """
@@ -40,9 +40,11 @@ def initial_table(space) -> dict:
 
 
 def _packs_ints(space) -> bool:
-    """Whether the row index under `space` holds its cells as plain ints:
-    exact packed bitmaps that no prune touches."""
-    return isinstance(space, ProfileSpace) and not space.prune and uses_bitset(space.k, space.qbound)
+    """Whether the ordered DP's cells under `space` are exact packed
+    bitmaps, which the row index holds as plain ints. The DP never
+    prunes such a cell, whatever `space.prune` says: a packed bitmap
+    costs its width whatever it holds."""
+    return isinstance(space, ProfileSpace) and uses_bitset(space.k, space.qbound)
 
 
 def index_cells(rows, states, size: int, packed: bool, skip: int = -1) -> None:
@@ -114,14 +116,9 @@ def iter_layer_tables(instance: Instance, orientation: Orientation, space):
     """Yield (position, vertex, table) after each layer, starting at 0.
 
     The table object is mutated between yields; consumers wanting a
-    snapshot must copy what they need before advancing.
-
-    The ordered DP's prune rule: cells follow `space`, except that an
-    exact bitset cell is never pruned, since a packed bitmap costs its
-    width whatever it holds.
+    snapshot must copy what they need before advancing. Cells are
+    finalized by `space`, except packed ones (`_packs_ints`).
     """
-    if isinstance(space, ProfileSpace) and space.prune and uses_bitset(space.k, space.qbound):
-        space = ProfileSpace(space.k, space.qbound)
     order = orientation.order
     pos = {v: i + 1 for i, v in enumerate(order)}
     table = initial_table(space)
@@ -205,9 +202,9 @@ def solve_cocomparability(
 
     States hold no witnesses: `witnesses=True` makes the returned set
     trace a witness back through the final table when one is asked for.
-    Without a `space`, `prune` picks the space's policy. Cells prune by
-    the rule of `iter_layer_tables`, and the returned set by the space's
-    own policy; rounded sets are traced the same way.
+    Without a `space`, `prune` picks the space's policy. The returned
+    union is finalized by `space`, packed or not (cells follow
+    `iter_layer_tables`); rounded sets are traced the same way.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)

@@ -18,17 +18,6 @@ from .errors import ParameterOutOfRangeError, UnknownFamilyError
 from .graphs import Graph, Instance, canonical_edge
 from .instance_io import ParsedInstance
 
-FAMILIES = (
-    "edgeless",
-    "interval",
-    "chordal",
-    "biconvex",
-    "random",
-    "permutation",
-    "clique-reduction",
-)
-
-
 def _profits(rng: random.Random, n: int, k: int, max_profit: int):
     return [[rng.randint(0, max_profit) for _ in range(n)] for _ in range(k)]
 
@@ -266,6 +255,18 @@ def _clique_reduction(rng, n, k, max_profit, ell):
     return ParsedInstance(instance=instance, declared_class="clique-reduction")
 
 
+_BUILDERS = {
+    "edgeless": _edgeless,
+    "interval": _interval,
+    "chordal": _chordal,
+    "biconvex": _biconvex,
+    "random": _random_graph,
+    "permutation": _permutation,
+    "clique-reduction": _clique_reduction,
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def build_family(
     family: str,
     n: int,
@@ -276,19 +277,10 @@ def build_family(
 ) -> ParsedInstance:
     """One seeded instance of the named family."""
     _check_common(n, k, max_profit)
+    build = _BUILDERS.get(family)
+    if build is None:
+        raise UnknownFamilyError(f"unknown family {family!r}, choose from {FAMILIES}")
     rng = random.Random(seed)
-    if family == "edgeless":
-        return _edgeless(rng, n, k, max_profit)
-    if family == "interval":
-        return _interval(rng, n, k, max_profit)
-    if family == "chordal":
-        return _chordal(rng, n, k, max_profit)
-    if family == "biconvex":
-        return _biconvex(rng, n, k, max_profit)
-    if family == "random":
-        return _random_graph(rng, n, k, max_profit)
-    if family == "permutation":
-        return _permutation(rng, n, k, max_profit)
-    if family == "clique-reduction":
-        return _clique_reduction(rng, n, k, max_profit, ell)
-    raise UnknownFamilyError(f"unknown family {family!r}, choose from {FAMILIES}")
+    if build is _clique_reduction:
+        return build(rng, n, k, max_profit, ell)
+    return build(rng, n, k, max_profit)

@@ -158,12 +158,6 @@ class ProfileSet(ProfileReads):
 
     # -- packing ---------------------------------------------------------
 
-    def _pack(self, profile) -> int:
-        idx = 0
-        for q, w in zip(profile, self._weights):
-            idx += q * w
-        return idx
-
     def _unpack(self, idx: int):
         base = self.qbound + 1
         out = [0] * self.k
@@ -241,7 +235,7 @@ class ProfileSet(ProfileReads):
         if self._set is not None:
             self._set.add(profile)
         else:
-            self._bits |= 1 << self._pack(profile)
+            self._bits |= 1 << self.packed_index(profile)
 
     def union_update(self, other: "ProfileSet") -> None:
         """Add every profile of `other`, a set of the same shape."""
@@ -402,6 +396,6 @@ class ProfileSpace:
         return out
 
     def finalize(self, pset):
-        if self.prune and not pset.is_empty():
+        if self.prune:
             return pset.prune_dominated()
         return pset

@@ -12,7 +12,7 @@ from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import complement_orientation, is_cocomparability
-from fkdiv.profiles import ProfileSpace, uses_bitset
+from fkdiv.profiles import ProfileSet, ProfileSpace, uses_bitset
 from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
 
@@ -134,17 +134,38 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
     )
     assert uses_bitset(inst.k, inst.qbound)
     tables = []
+    prunes = []
+    prunes_after_layers = []
+    prune = ProfileSet.prune_dominated
+
+    def counting(pset):
+        prunes.append(len(pset))
+        return prune(pset)
 
     def capturing(*args):
         for j, v, table in iter_layer_tables(*args):
             tables.append(table)
             yield j, v, table
+        prunes_after_layers.append(len(prunes))
 
+    monkeypatch.setattr(ProfileSet, "prune_dominated", counting)
     monkeypatch.setattr(cocomp, "iter_layer_tables", capturing)
     ps = solve_cocomparability(inst, witnesses=True, prune=True)
+    # The layers prune no packed cell; only the final union is pruned.
+    assert prunes_after_layers == [0] and len(prunes) == 1
     assert_witnesses(inst, ps, limit=0)
     assert len(tables[-1]) > 1
     assert all(cell._bits is not None for cell in tables[-1].values())
+    orientation = complement_orientation(inst.graph)
+    runs = [
+        iter_layer_tables(inst, orientation, ProfileSpace.for_instance(inst, prune=p))
+        for p in (True, False)
+    ]
+    for (_j, _v, pruning), (_, _, exact) in zip(*runs):
+        assert {key: cell._bits for key, cell in pruning.items()} == {
+            key: cell._bits for key, cell in exact.items()
+        }
+    assert len(prunes) == 1
 
 
 def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -87,6 +88,35 @@ def test_same_seed_is_deterministic():
         a = build_family(family, 6, 2, 9, 42, ell=ell)
         b = build_family(family, 6, 2, 9, 42, ell=ell)
         assert serialize_instance(a) == serialize_instance(b)
+
+
+# sha256 of serialize_instance(build_family(family, n, k, max_profit, seed,
+# ell=ell)). The benchmark's instances come from these generators, so a
+# change in the order of random draws would change every workload.
+PINNED_FAMILY_BYTES = [
+    (("edgeless", 1, 1, 0, 0, None), "4fbe5d949f2eca7b01c117afa2ed70e606c56a2462167bc5f780005b0de4e335"),
+    (("edgeless", 9, 3, 7, 5, None), "73bbe4611f7455e86de80237f4c9dd33cd8ce512f80c1c2a76d8dfd754240181"),
+    (("interval", 6, 2, 10, 0, None), "25517485fa144f12a50c8391c575a087f37d1ea58d998959a05c137b24aeda3f"),
+    (("interval", 40, 2, 5, 3, None), "33a47552a8ec5c28a71f11b26c161fcbb01fdb7a32aed72bb422d1627df05e23"),
+    (("chordal", 9, 2, 10, 1, None), "e97648fe7ae2d438f2796cfb7e030a4ac4e43f866a3a823b351d6471e5ca60c3"),
+    (("chordal", 30, 3, 5, 7, None), "e053999e7b11a5118e1ff6a996ce26f370f20356c99c2ab16355ca2ca1a0e199"),
+    (("biconvex", 1, 2, 4, 0, None), "3557cdb0f28815ff87ffbd9d875d27bdba79650fec22a45684f9c80474c27f73"),
+    (("biconvex", 8, 2, 5, 3, None), "9c487005aa4175e237d7d89a77aa766db880ca0f257d5bf7f64ac71b9ec89a5e"),
+    (("biconvex", 25, 3, 9, 11, None), "fd214dce56ea9d9b891dd22df0604bf47cbfc396a7cdfe34341f79d52a74f0ac"),
+    (("random", 7, 3, 12, 11, None), "8a7f3c668fd3076cc11681f05f398c8a89f6de9f98e7d43cf672c5ece5aa2aec"),
+    (("random", 20, 2, 5, 4, None), "d97c254128b95b6e6935ed720f4567edb590e2b769f5bd71560f793b33e2d7d3"),
+    (("permutation", 8, 2, 10, 0, None), "4033fe12bbd2c159320a74452b398049ac66303fd0f525cccded8b2470691e2f"),
+    (("permutation", 60, 2, 1, 1234567, None), "a6383fbfbdb611d3e157d06272bca3ad313fca5ac9aaac3dfbd48962301b71d2"),
+    (("clique-reduction", 5, 2, 0, 0, 3), "e812464d57d4a14fa38246fb5de6540e72e1e786d57226e4c21697f37bfb588c"),
+    (("clique-reduction", 7, 3, 9, 2, 4), "482b72e8c31e096fc3de8ce210dddd63ae7d6ffbefa150119ad45fe5980b4409"),
+]
+
+
+def test_generated_bytes_are_pinned():
+    assert {args[0] for args, _digest in PINNED_FAMILY_BYTES} == set(FAMILIES)
+    for (family, n, k, max_profit, seed, ell), digest in PINNED_FAMILY_BYTES:
+        text = serialize_instance(build_family(family, n, k, max_profit, seed, ell=ell))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, n, k, max_profit, seed)
 
 
 def test_different_seeds_usually_differ():

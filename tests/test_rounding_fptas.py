@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -379,3 +381,16 @@ def test_scaling_smoke_tree_rows(monkeypatch):
         inst = build_family("chordal", n, 2, 9, 0).instance
         assert outcome == f"value {brute_force(inst).optimum}" and seconds >= 0
     assert rows[2][4] == "rejected"
+
+
+def test_scaling_smoke_runs_from_a_checkout_without_pythonpath():
+    """The script finds this checkout's package itself. conftest puts
+    `src` on every child's PYTHONPATH, so the child drops it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    res = subprocess.run(
+        [sys.executable, "scripts/scaling_smoke.py", "--sizes", "8", "10"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "worst measured/predicted factor" in res.stdout
