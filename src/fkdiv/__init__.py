@@ -10,7 +10,9 @@ states. Small instances can always fall back to brute force.
 The package namespace is lazy (PEP 562): `import fkdiv` loads no
 submodule, and each name in `__all__` imports its home module the first
 time it is read. A command line solve thus loads only the modules its
-route runs.
+route runs: `chordal_peo`, which the planner runs on every graph, lives
+in `graphs`, so a solve that is not a tree-decomposition route never
+loads `decomposition`.
 """
 
 from importlib import import_module
@@ -22,7 +24,6 @@ _EXPORTS = {
     "cocomp": ("solve_cocomparability",),
     "decomposition": (
         "TreeDecomposition",
-        "chordal_peo",
         "clique_tree",
         "is_chordal",
         "make_nice",
@@ -42,7 +43,7 @@ _EXPORTS = {
         "StructureMismatchError",
     ),
     "fptas": ("FptasResult", "paired_rounding_check", "parse_epsilon", "solve_approx"),
-    "graphs": ("Graph", "Instance"),
+    "graphs": ("Graph", "Instance", "chordal_peo"),
     "instance_io": (
         "ParsedInstance",
         "build_report",

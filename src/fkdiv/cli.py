@@ -3,19 +3,26 @@
 Subcommands: solve (pick or force an algorithm, print a JSON report),
 gen (write a seeded instance of a named family), verify (check a report
 against its instance). Exit codes: 0 success, 2 unusable input, 3 no
-algorithm applies to the instance, 4 search budget exceeded.
+algorithm applies to the instance, 4 search budget exceeded. Errors
+name vertices and decomposition nodes by the file's 1-based ids.
+
+A solve loads only the modules of the route it takes: every solver and
+recognizer past the chordal check is bound here by `_forward`, which
+imports its home module on the first call. `main` returns the exit
+code; `run`, the entry point of the `fkdiv` script and of
+`python -m fkdiv.cli`, flushes the output and ends the process at once,
+skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import partial
+from importlib import import_module
 
-from .cocomp import solve_cocomparability
-from .decomposition import chordal_peo, minfill_decomposition
-from .decomposition import is_chordal  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -28,6 +35,7 @@ from .errors import (
     StructureMismatchError,
     UnknownFamilyError,
 )
+from .graphs import chordal_peo
 from .instance_io import (
     ParsedInstance,
     build_report,
@@ -38,8 +46,6 @@ from .instance_io import (
     serialize_instance,
     validate_report,
 )
-from .orientation import complement_orientation
-from .orientation import is_cocomparability  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,26 +64,27 @@ _APPLICABILITY_ERRORS = (
 )
 
 
-# The tree DP and the FPTAS load on the first call of their forwarders,
-# so a route that never calls one does not import it. The planner reads
-# these names from this module when it runs, so perfbench/tracer.py
-# wraps them here.
-def solve_chordal(*args, **kwargs):
-    from .treedp import solve_chordal
+def _forward(module: str, name: str):
+    """A stand-in for `module.name` that imports the module on its first
+    call, so a route that never calls it does not load the module."""
 
-    return solve_chordal(*args, **kwargs)
+    def forward(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
 
-
-def solve_treewidth(*args, **kwargs):
-    from .treedp import solve_treewidth
-
-    return solve_treewidth(*args, **kwargs)
+    return forward
 
 
-def solve_approx(*args, **kwargs):
-    from .fptas import solve_approx
-
-    return solve_approx(*args, **kwargs)
+# The planner reads these names from this module when it runs, and
+# perfbench/tracer.py wraps them here; is_chordal and is_cocomparability
+# are bound for the tracer only.
+solve_cocomparability = _forward("cocomp", "solve_cocomparability")
+complement_orientation = _forward("orientation", "complement_orientation")
+minfill_decomposition = _forward("decomposition", "minfill_decomposition")
+solve_chordal = _forward("treedp", "solve_chordal")
+solve_treewidth = _forward("treedp", "solve_treewidth")
+solve_approx = _forward("fptas", "solve_approx")
+is_chordal = _forward("decomposition", "is_chordal")
+is_cocomparability = _forward("orientation", "is_cocomparability")
 
 
 def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_bruteforce: bool):
@@ -336,18 +343,37 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.one_based()}", file=sys.stderr)
         return EXIT_INPUT
     except _APPLICABILITY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.one_based()}", file=sys.stderr)
         return EXIT_NO_ALGORITHM
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.one_based()}", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
+def run() -> None:
+    """Run `main` on the command line and end the process with its code.
+
+    Once the output is flushed, the process has nothing left to do, so
+    `os._exit` skips interpreter teardown: finalizing every loaded
+    module, most of them loaded by `site` before fkdiv starts. A flush
+    that fails (a closed pipe) leaves the exit to `sys.exit`, which
+    reports it as an ordinary exit does. `--help`, usage errors and
+    uncaught exceptions leave `main` as exceptions and exit normally."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,4 @@
-"""Tree decompositions: recognition, construction, and the nice form.
+"""Tree decompositions: construction, verification, and the nice form.
 
 Every decomposition built here is the elimination tree of a vertex
 ordering, linked in one place (`elimination_tree`). Chordal graphs use
@@ -25,64 +25,8 @@ from .errors import (
     NotATreeError,
     NotChordalError,
 )
-from .graphs import Graph, iter_bits
-
-
-def mcs_order(graph: Graph):
-    """Maximum cardinality search visit order, lowest id on ties.
-
-    A generator: each vertex is yielded before the search goes on, so a
-    caller that stops early pays only for the steps it read."""
-    n = graph.n
-    weight = [0] * n
-    unvisited = (1 << n) - 1
-    for _ in range(n):
-        best = weight.index(max(weight))
-        weight[best] = -1  # below every unvisited weight from now on
-        unvisited ^= 1 << best
-        yield best
-        for u in iter_bits(graph.masks[best] & unvisited):
-            weight[u] += 1
-
-
-def chordal_peo(graph: Graph) -> tuple:
-    """Perfect elimination ordering, or NotChordalError.
-
-    Runs maximum cardinality search and checks, as each vertex v is
-    visited, that its already-visited neighbors other than the latest
-    visited one, p, are neighbors of p (Tarjan & Yannakakis 1984). If
-    every earlier vertex passed, p's visited neighbors form a clique, so
-    v's do too: the first vertex that fails is the first whose visited
-    neighbors are not a clique, where the search stops and names the
-    smallest non-adjacent pair. p is found by bisecting the visited
-    prefixes for the shortest one holding every visited neighbor. The
-    reversed visit order is an elimination ordering where every vertex's
-    later neighbors are mutually adjacent.
-    """
-    masks = graph.masks
-    order = []
-    seen = [0]  # seen[j]: the first j visited vertices
-    for v in mcs_order(graph):
-        back = masks[v] & seen[-1]
-        if back:
-            lo, hi = 1, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if back & ~seen[mid]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            p = order[lo - 1]
-            if back & ~masks[p] & ~(1 << p):
-                for a in iter_bits(back):
-                    # Visited neighbors of v above a that are not adjacent to a.
-                    missing = (back >> (a + 1) << (a + 1)) & ~masks[a]
-                    if missing:
-                        b = next(iter_bits(missing))
-                        raise NotChordalError(f"neighbors {a},{b} of {v} are not adjacent")
-        order.append(v)
-        seen.append(seen[-1] | 1 << v)
-    return tuple(reversed(order))
+# chordal_peo and mcs_order live in graphs and stay importable from here.
+from .graphs import Graph, chordal_peo, iter_bits, mcs_order  # noqa: F401
 
 
 def is_chordal(graph: Graph) -> bool:
@@ -123,7 +67,7 @@ def _rooted(td: TreeDecomposition) -> tuple:
     adj = [[] for _ in range(t)]
     for a, b in td.edges:
         if not (0 <= a < t and 0 <= b < t) or a == b:
-            raise NotATreeError(f"bad tree edge ({a}, {b})")
+            raise NotATreeError("bad tree edge ({}, {})", a, b)
         adj[a].append(b)
         adj[b].append(a)
     parent = [None] * t
@@ -151,24 +95,24 @@ def verify_decomposition(graph: Graph, td: TreeDecomposition) -> None:
     for bag in td.bags:
         for v in bag:
             if not (0 <= v < graph.n):
-                raise InvalidDecompositionError(f"bag vertex {v} out of range")
+                raise InvalidDecompositionError("bag vertex {} out of range", v)
     occurrence = [set() for _ in range(graph.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             occurrence[v].add(i)
     for v in range(graph.n):
         if not occurrence[v]:
-            raise MissingVertexError(f"vertex {v} is in no bag")
+            raise MissingVertexError("vertex {} is in no bag", v)
     for u, v in graph.edges:
         if occurrence[u].isdisjoint(occurrence[v]):
-            raise MissingEdgeError(f"edge ({u}, {v}) is in no bag")
+            raise MissingEdgeError("edge ({}, {}) is in no bag", u, v)
     # Rooted at bag 0, a vertex's bags form a subtree exactly when one
     # of them, the subtree's top, has a parent without the vertex.
     for v in range(graph.n):
         nodes = occurrence[v]
         if sum(parent[i] not in nodes for i in nodes) != 1:
             raise DisconnectedOccurrenceError(
-                f"bags containing {v} are not connected in the tree"
+                "bags containing {} are not connected in the tree", v
             )
 
 

@@ -2,7 +2,23 @@
 
 
 class FkdivError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    An error that names vertices or decomposition nodes is raised as a
+    message template with one `{}` per id, followed by the 0-based ids.
+    `str()` reads as the library numbers them, and `one_based()` as an
+    instance file does, which is what the CLI prints.
+    """
+
+    def __init__(self, message="", *ids):
+        self.template = message
+        self.ids = ids
+        super().__init__(message.format(*ids) if ids else message)
+
+    def one_based(self) -> str:
+        if not self.ids:
+            return str(self)
+        return self.template.format(*(i + 1 for i in self.ids))
 
 
 class VertexRangeError(FkdivError):

@@ -13,9 +13,8 @@ import random
 from collections import namedtuple
 from itertools import combinations
 
-from .decomposition import chordal_peo
 from .errors import ParameterOutOfRangeError, UnknownFamilyError
-from .graphs import Graph, Instance, canonical_edge
+from .graphs import Graph, Instance, canonical_edge, chordal_peo
 from .instance_io import ParsedInstance
 
 def _profits(rng: random.Random, n: int, k: int, max_profit: int):

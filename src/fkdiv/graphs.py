@@ -1,14 +1,16 @@
-"""Undirected graphs and problem instances.
+"""Undirected graphs, chordality recognition, and problem instances.
 
 A graph is one adjacency bitmask per vertex; its edge set, edge count
-and neighbor lists are derived from the masks. Vertices are 0..n-1
-everywhere in the library; the file format uses 1-based ids and the
-parser translates.
+and neighbor lists are derived from the masks. Maximum cardinality
+search and the perfect elimination ordering it checks live here too,
+as the solve planner runs them on every graph first. Vertices are
+0..n-1 everywhere in the library; the file format uses 1-based ids and
+the parser translates.
 """
 
 from __future__ import annotations
 
-from .errors import VertexRangeError
+from .errors import NotChordalError, VertexRangeError
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -132,6 +134,63 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def mcs_order(graph: Graph):
+    """Maximum cardinality search visit order, lowest id on ties.
+
+    A generator: each vertex is yielded before the search goes on, so a
+    caller that stops early pays only for the steps it read."""
+    n = graph.n
+    weight = [0] * n
+    unvisited = (1 << n) - 1
+    for _ in range(n):
+        best = weight.index(max(weight))
+        weight[best] = -1  # below every unvisited weight from now on
+        unvisited ^= 1 << best
+        yield best
+        for u in iter_bits(graph.masks[best] & unvisited):
+            weight[u] += 1
+
+
+def chordal_peo(graph: Graph) -> tuple:
+    """Perfect elimination ordering, or NotChordalError.
+
+    Runs maximum cardinality search and checks, as each vertex v is
+    visited, that its already-visited neighbors other than the latest
+    visited one, p, are neighbors of p (Tarjan & Yannakakis 1984). If
+    every earlier vertex passed, p's visited neighbors form a clique, so
+    v's do too: the first vertex that fails is the first whose visited
+    neighbors are not a clique, where the search stops and names the
+    smallest non-adjacent pair. p is found by bisecting the visited
+    prefixes for the shortest one holding every visited neighbor. The
+    reversed visit order is an elimination ordering where every vertex's
+    later neighbors are mutually adjacent.
+    """
+    masks = graph.masks
+    order = []
+    seen = [0]  # seen[j]: the first j visited vertices
+    for v in mcs_order(graph):
+        back = masks[v] & seen[-1]
+        if back:
+            lo, hi = 1, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if back & ~seen[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            p = order[lo - 1]
+            if back & ~masks[p] & ~(1 << p):
+                for a in iter_bits(back):
+                    # Visited neighbors of v above a that are not adjacent to a.
+                    missing = (back >> (a + 1) << (a + 1)) & ~masks[a]
+                    if missing:
+                        b = next(iter_bits(missing))
+                        raise NotChordalError("neighbors {},{} of {} are not adjacent", a, b, v)
+        order.append(v)
+        seen.append(seen[-1] | 1 << v)
+    return tuple(reversed(order))
 
 
 class Instance:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict, namedtuple
 
-from .decomposition import TreeDecomposition
 from .errors import DimensionMismatchError, ParseError
 from .graphs import Graph, Instance, iter_bits
 from .profiles import check_coloring, profile_of
@@ -208,6 +207,8 @@ def parse_instance(text: str) -> ParsedInstance:
     decomposition = None
     root0 = None
     if td_header is not None:
+        from .decomposition import TreeDecomposition
+
         count, root = td_header
         absent = _first_gap(bags, count)
         if absent is not None:

@@ -40,12 +40,12 @@ class Orientation:
         for v, mask in enumerate(pred):
             for u in iter_bits(mask):
                 if pred[u] >> v & 1:
-                    raise CycleDetectedError(f"both ({u},{v}) and ({v},{u}) present")
+                    raise CycleDetectedError("both ({},{}) and ({},{}) present", u, v, v, u)
                 missing = pred[u] & ~mask
                 if missing:
                     w = (missing & -missing).bit_length() - 1
                     raise NotComparabilityError(
-                        f"arcs ({w},{u}),({u},{v}) present but ({w},{v}) missing"
+                        "arcs ({},{}),({},{}) present but ({},{}) missing", w, u, u, v, w, v
                     )
                 succ[u].append(v)
         indeg = [mask.bit_count() for mask in pred]
@@ -105,7 +105,7 @@ def transitive_orientation(graph: Graph) -> Orientation:
                 return
             if out[b] >> a & 1:
                 raise NotComparabilityError(
-                    f"edge {canonical_edge(a, b)} forced in both directions"
+                    "edge ({}, {}) forced in both directions", *canonical_edge(a, b)
                 )
             out[a] |= 1 << b
             into[b] |= 1 << a
@@ -132,7 +132,7 @@ def complement_orientation(graph: Graph) -> Orientation:
     try:
         return transitive_orientation(graph.complement())
     except NotComparabilityError as exc:
-        raise NotCocomparabilityError(str(exc)) from exc
+        raise NotCocomparabilityError(exc.template, *exc.ids) from exc
 
 
 def is_cocomparability(graph: Graph) -> bool:

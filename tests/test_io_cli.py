@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fkdiv
-from fkdiv import cli, decomposition, orientation, treedp
+from fkdiv import cli, decomposition, graphs, orientation, treedp
 from fkdiv.errors import DimensionMismatchError, NoApplicableAlgorithmError, ParseError
 from fkdiv.generators import FAMILIES, build_family
 from fkdiv.graphs import Graph, Instance
@@ -348,6 +348,38 @@ def test_cli_no_algorithm_exit_3(tmp_path):
         assert res.returncode == 3, (algo, res.stderr)
 
 
+C4 = "p fkdiv 4 4 1\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nw 1 1 1 1 1\n"
+C5 = "p fkdiv 5 5 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\nw 1 1 1 1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,algo,code,message",
+    [
+        (C4, "chordal", 3, "neighbors 1,3 of 4 are not adjacent"),
+        (C5, "cocomp", 3, "edge (2, 5) forced in both directions"),
+        (
+            C5 + "t 2 1\nb 1 1 2 3\nb 2 3 4 5\na 1 2\n",
+            "treewidth",
+            2,
+            "edge (1, 5) is in no bag",
+        ),
+        (
+            "p fkdiv 3 2 1\ne 1 2\ne 2 3\nw 1 1 1 1\no A 1 2\no B 3\n",
+            "biconvex",
+            3,
+            "edge (1, 2) stays within one side",
+        ),
+    ],
+    ids=["chordal", "cocomp", "decomposition", "biconvex"],
+)
+def test_cli_structure_errors_name_file_ids(tmp_path, capsys, text, algo, code, message):
+    # The library numbers vertices from 0; the CLI names them as the file does.
+    path = tmp_path / "inst.fk"
+    path.write_text(text)
+    assert cli.main(["solve", "--input", str(path), "--algo", algo]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_budget_exit_4(tmp_path):
     inst = tmp_path / "ok.fk"
     inst.write_text(GOOD)
@@ -544,9 +576,27 @@ FPTAS_MODULES = ("fkdiv.fptas", "fkdiv.rounding", "fractions")
 @pytest.mark.parametrize(
     "family,extra,algo,home,skipped",
     [
-        ("permutation", (), "cocomp", "fkdiv.cocomp", ("fkdiv.treedp", "decimal", *FPTAS_MODULES)),
-        ("permutation", ("--epsilon", "1/2"), "cocomp", "fkdiv.fptas", ("fkdiv.treedp",)),
-        ("interval", (), "chordal", "fkdiv.treedp", FPTAS_MODULES),
+        (
+            "permutation",
+            (),
+            "cocomp",
+            "fkdiv.cocomp",
+            ("fkdiv.treedp", "fkdiv.decomposition", "decimal", *FPTAS_MODULES),
+        ),
+        (
+            "permutation",
+            ("--epsilon", "1/2"),
+            "cocomp",
+            "fkdiv.fptas",
+            ("fkdiv.treedp", "fkdiv.decomposition"),
+        ),
+        (
+            "interval",
+            (),
+            "chordal",
+            "fkdiv.treedp",
+            ("fkdiv.cocomp", "fkdiv.orientation", *FPTAS_MODULES),
+        ),
     ],
     ids=["exact", "epsilon", "chordal"],
 )
@@ -572,6 +622,27 @@ def test_cli_solve_loads_only_its_route(tmp_path, family, extra, algo, home, ski
     assert home in loaded
     not_loaded = {*NOT_LOADED_BY_SOLVE, *skipped}
     assert loaded.isdisjoint(not_loaded), loaded & not_loaded
+
+
+def test_parse_loads_the_decomposition_module_only_for_a_declared_one():
+    declared = GOOD + "t 2 1\nb 1 1 2\nb 2 2 3 4\na 1 2\n"
+    code = (
+        "import sys\n"
+        "from fkdiv.instance_io import parse_instance\n"
+        f"plain = parse_instance({GOOD!r})\n"
+        "assert 'fkdiv.decomposition' not in sys.modules\n"
+        f"td = parse_instance({declared!r}).decomposition\n"
+        "from fkdiv.decomposition import TreeDecomposition\n"
+        "assert plain.decomposition is None\n"
+        "assert type(td) is TreeDecomposition and td.edges == ((0, 1),)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(fkdiv.__file__).resolve().parents[1])},
+    )
+    assert res.returncode == 0, res.stderr
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -639,7 +710,7 @@ def test_cli_auto_recognizes_each_structure_once(
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    count(decomposition, "mcs_order", "mcs")
+    count(graphs, "mcs_order", "mcs")
     count(orientation, "transitive_orientation", "orientation")
     count(cli, "minfill_decomposition", "minfill")
     count(treedp, "minfill_decomposition", "minfill")

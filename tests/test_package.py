@@ -34,6 +34,14 @@ def test_unknown_public_name_raises_attribute_error():
     assert not hasattr(fkdiv, "mcs_order")
 
 
+def test_chordal_peo_is_one_object():
+    # It lives in graphs, and decomposition keeps it importable from there.
+    from fkdiv import decomposition, graphs
+
+    assert fkdiv.chordal_peo is graphs.chordal_peo is decomposition.chordal_peo
+    assert decomposition.mcs_order is graphs.mcs_order
+
+
 def test_star_import_binds_all():
     namespace = {}
     exec("from fkdiv import *", namespace)
