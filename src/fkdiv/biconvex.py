@@ -231,15 +231,10 @@ def solve_biconvex(
         local_b = tuple(to_local[v] for v in order_b if v in members)
         part = solve_biconvex_connected(sub, local_a, local_b, space, witnesses)
         if witnesses:
-            # Read before the result's traceback is set: with one
-            # component the result may be this very set.
             traces.append(lambda p, t=part.traceback, r=_relabel(ids): r(t(p)))
         parts.append(part)
-    if not parts:  # no vertices: the empty coloring alone
-        parts.append(space.zero())
-        traces.append(lambda p: ((),) * instance.k)
-    folds = [parts[0]]
-    for part in parts[1:]:
+    folds = [space.zero()]  # folds[i]: the sums over parts[:i]
+    for part in parts:
         folds.append(folds[-1].combine(part))
     result = space.finalize(folds[-1])
     if not witnesses:
@@ -248,9 +243,7 @@ def solve_biconvex(
     def witness(profile):
         coloring = [[] for _ in range(instance.k)]
         for i in range(len(parts) - 1, -1, -1):
-            own = profile
-            if i:
-                profile, own = folds[i - 1].split(profile, parts[i])
+            profile, own = folds[i].split(profile, parts[i])
             for j, cls in enumerate(traces[i](own)):
                 coloring[j].extend(cls)
         return tuple(tuple(sorted(cls)) for cls in coloring)

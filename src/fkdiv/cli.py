@@ -141,13 +141,20 @@ def _auto_algorithm(parsed: ParsedInstance, algo: str, budget: int, allow_brutef
     )
 
 
-def run_solve(args) -> int:
+def _read_instance(path: str) -> ParsedInstance:
+    """The instance file at `path`, read by this module's `parse_instance`.
+    A file that cannot be read or decoded raises OSError naming it, which
+    `main` reports as unusable input."""
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            parsed = parse_instance(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise OSError(f"cannot read {path}: {exc}") from None
+    return parse_instance(text)
+
+
+def run_solve(args) -> int:
+    parsed = _read_instance(args.input)
     instance = parsed.instance
     n = instance.n
 
@@ -230,12 +237,7 @@ def run_gen(args) -> int:
 def run_verify(args) -> int:
     import json
 
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            parsed = parse_instance(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    parsed = _read_instance(args.input)
     try:
         with open(args.report, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -342,15 +344,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, *_APPLICABILITY_ERRORS, BudgetExceededError) as exc:
         print(f"error: {exc.one_based()}", file=sys.stderr)
-        return EXIT_INPUT
-    except _APPLICABILITY_ERRORS as exc:
-        print(f"error: {exc.one_based()}", file=sys.stderr)
-        return EXIT_NO_ALGORITHM
-    except BudgetExceededError as exc:
-        print(f"error: {exc.one_based()}", file=sys.stderr)
-        return EXIT_BUDGET
+        if isinstance(exc, _INPUT_ERRORS):
+            return EXIT_INPUT
+        return EXIT_NO_ALGORITHM if isinstance(exc, _APPLICABILITY_ERRORS) else EXIT_BUDGET
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

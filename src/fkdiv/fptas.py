@@ -39,7 +39,9 @@ profile T at depth i when A >= T / r^i in every class.
   1+eps. The biconvex route's bound is tested, not proven.
 
 `paired_rounding_check` checks the covering invariant on the ordered
-DP, cell by cell, against an exact run.
+DP, cell by cell, against an exact run: each undominated exact profile
+T within r^m, m the fewest items of a coloring that reaches T in the
+cell, the depth the induction gives T.
 """
 
 from __future__ import annotations
@@ -143,25 +145,29 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     """Run the ordered solver exactly and rounded in lockstep and check
     the rounding layer by layer.
 
-    Both runs must hold the same cell keys at every layer: the rounding
-    never changes which cells exist, only what each one holds. Each cell
-    is checked once, at the layer j of its largest position: every
-    state's key is `grid.round_profile` of its truth, which puts the
-    truth in [r^key, r^(key+1)) and the sentinel exactly at zero; every
-    truth is in the exact cell; and every undominated exact profile T
-    of the cell has a truth A with A * num^j >= T * 2^(Bj) in every
-    class, the covering invariant of the bound above. The exact run
-    keeps every profile, and the rounded one prunes, as in
-    `solve_approx`. Returns counters of everything checked.
+    The exact run counts items: every profit p becomes p * (n+1) + 1, so
+    an entry q of its profiles splits into the class's exact total
+    q // (n+1) and its item count q % (n+1). Both runs must hold the same
+    cell keys at every layer: the rounding never changes which cells
+    exist, only what each one holds. Each cell is checked once, at the
+    layer j of its largest position: every state's key is
+    `grid.round_profile` of its truth, which puts the truth in
+    [r^key, r^(key+1)) and the sentinel exactly at zero; every truth is
+    in the exact cell; and every undominated exact profile T of the cell
+    has a truth A with A * num^m >= T * 2^(Bm) in every class, where m
+    is the fewest items of any coloring that reaches T in the cell: the
+    covering invariant of the bound above, at the depth the induction
+    gives T. The exact run keeps every profile, and the rounded one
+    prunes, as in `solve_approx`. Returns counters of everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
     orientation = complement_orientation(instance.graph)
-    exact_space = ProfileSpace.for_instance(instance)
-    rounded_space = RoundedProfileSpace(instance.k, grid)
+    base = instance.n + 1
+    counted = instance.with_profits([[p * base + 1 for p in row] for row in instance.profits])
 
-    exact_run = iter_layer_tables(instance, orientation, exact_space)
-    rounded_run = iter_layer_tables(instance, orientation, rounded_space)
+    exact_run = iter_layer_tables(counted, orientation, ProfileSpace.for_instance(counted))
+    rounded_run = iter_layer_tables(instance, orientation, RoundedProfileSpace(instance.k, grid))
     layers = cells = entries = 0
     for (j, _v1, exact_table), (_j2, _v2, rounded_table) in zip(
         exact_run, rounded_run, strict=True
@@ -169,24 +175,29 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
         if exact_table.keys() != rounded_table.keys():
             raise AssertionError(f"layer {j}: exact and rounded state keys differ")
         layers += 1
-        gain, loss = grid.num**j, 1 << B * j
         for key, states in rounded_table.items():
             if max(key) != j:
                 continue
             cells += 1
-            exact = exact_table[key]
+            fewest = {}  # exact profile of the cell -> fewest items reaching it
+            for counts in exact_table[key].profiles():
+                t = tuple(q // base for q in counts)
+                m = sum(q % base for q in counts)
+                fewest[t] = min(fewest.get(t, m), m)
             for idx_key, true in states.keyed():
                 entries += 1
                 if idx_key != grid.round_profile(true):
                     raise AssertionError(
                         f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
                     )
-                if true not in exact:
+                if true not in fewest:
                     raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
             truths = states.profiles()
-            for t in undominated(exact.profiles(), instance.k):
+            for t in undominated(fewest, instance.k):
+                m = fewest[t]
+                gain, loss = grid.num**m, 1 << B * m
                 if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
                     raise AssertionError(
-                        f"layer {j} cell {key}: no truth covers {t} within r^{j}"
+                        f"layer {j} cell {key}: no truth covers {t} within r^{m}"
                     )
     return {"layers": layers, "cells": cells, "entries": entries}

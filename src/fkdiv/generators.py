@@ -1,10 +1,11 @@
 """Seeded instance generators for the supported graph families.
 
 Every family takes (n, k, max_profit, seed) and yields a ParsedInstance
-with profits drawn uniformly from 0..max_profit; the biconvex and
-edgeless families also emit side orderings. All randomness flows
-through one random.Random(seed), so equal parameters give equal bytes
-after serialization.
+declaring the family. A family's builder draws its graph, with side
+orderings for biconvex and edgeless, and `build_family` then draws the
+profits uniformly from 0..max_profit; clique-reduction sets its own.
+All randomness flows through one random.Random(seed), so equal
+parameters give equal bytes after serialization.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
 from .errors import ParameterOutOfRangeError, UnknownFamilyError
 from .graphs import Graph, Instance, canonical_edge, chordal_peo
 from .instance_io import ParsedInstance
 
-def _profits(rng: random.Random, n: int, k: int, max_profit: int):
-    return [[rng.randint(0, max_profit) for _ in range(n)] for _ in range(k)]
+# A clique-reduction source is redrawn until it has enough edges; a
+# draw that succeeds less often than once in this many is refused.
+MAX_EXPECTED_DRAWS = 2**10
 
 
 def _check_common(n: int, k: int, max_profit: int) -> None:
@@ -30,17 +33,12 @@ def _check_common(n: int, k: int, max_profit: int) -> None:
         raise ParameterOutOfRangeError("max-profit must be nonnegative")
 
 
-def _edgeless(rng, n, k, max_profit):
+def _edgeless(rng, n):
     half = (n + 1) // 2
-    return ParsedInstance(
-        instance=Instance(Graph(n, []), _profits(rng, n, k, max_profit)),
-        declared_class="edgeless",
-        order_a=tuple(range(half)),
-        order_b=tuple(range(half, n)),
-    )
+    return Graph(n, []), tuple(range(half)), tuple(range(half, n))
 
 
-def _interval(rng, n, k, max_profit):
+def _interval(rng, n):
     span = 2 * n
     intervals = []
     for _ in range(n):
@@ -52,13 +50,10 @@ def _interval(rng, n, k, max_profit):
         for u, v in combinations(range(n), 2)
         if intervals[u][0] <= intervals[v][1] and intervals[v][0] <= intervals[u][1]
     ]
-    return ParsedInstance(
-        instance=Instance(Graph(n, edges), _profits(rng, n, k, max_profit)),
-        declared_class="interval",
-    )
+    return (Graph(n, edges),)
 
 
-def _chordal(rng, n, k, max_profit):
+def _chordal(rng, n):
     # Clique-attachment growth; optionally grow larger then induce back
     # down, which keeps chordality but varies the shape.
     total = n if n < 3 or rng.random() < 0.5 else n + rng.randint(1, n // 2)
@@ -78,24 +73,16 @@ def _chordal(rng, n, k, max_profit):
     else:
         graph = Graph(total, sorted(edges))
     assert chordal_peo(graph)
-    return ParsedInstance(
-        instance=Instance(graph, _profits(rng, n, k, max_profit)),
-        declared_class="chordal",
-    )
+    return (graph,)
 
 
 def _monotone(rng, count, lo, hi):
     return sorted(rng.randint(lo, hi) for _ in range(count))
 
 
-def _biconvex(rng, n, k, max_profit):
+def _biconvex(rng, n):
     if n == 1:
-        return ParsedInstance(
-            instance=Instance(Graph(1, []), _profits(rng, 1, k, max_profit)),
-            declared_class="biconvex",
-            order_a=(0,),
-            order_b=(),
-        )
+        return Graph(1, []), (0,), ()
     t = rng.randint(1, max(1, n // 2))
     a_total = n - t
     tail_l = rng.randint(0, a_total - 1)
@@ -125,34 +112,22 @@ def _biconvex(rng, n, k, max_profit):
     for i, (l, h) in enumerate(order_a_roles):
         for spot in range(l, h + 1):
             edges.append(canonical_edge(order_a[i], order_b[spot - 1]))
-    graph = Graph(n, sorted(set(edges)))
-    return ParsedInstance(
-        instance=Instance(graph, _profits(rng, n, k, max_profit)),
-        declared_class="biconvex",
-        order_a=order_a,
-        order_b=order_b,
-    )
+    return Graph(n, sorted(set(edges))), order_a, order_b
 
 
-def _random_graph(rng, n, k, max_profit):
+def _random_graph(rng, n):
     density = rng.uniform(0.1, 0.9)
     edges = [e for e in combinations(range(n), 2) if rng.random() < density]
-    return ParsedInstance(
-        instance=Instance(Graph(n, edges), _profits(rng, n, k, max_profit)),
-        declared_class="random",
-    )
+    return (Graph(n, edges),)
 
 
-def _permutation(rng, n, k, max_profit):
+def _permutation(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
     edges = [
         (u, v) for u, v in combinations(range(n), 2) if perm[u] > perm[v]
     ]
-    return ParsedInstance(
-        instance=Instance(Graph(n, edges), _profits(rng, n, k, max_profit)),
-        declared_class="permutation",
-    )
+    return (Graph(n, edges),)
 
 
 class CliqueReductionParams(
@@ -240,20 +215,53 @@ def build_clique_reduction(source: Graph, ell: int, k: int):
     return instance, params
 
 
-def _clique_reduction(rng, n, k, max_profit, ell):
+def _draw_succeeds_often(slots: int, need: int) -> bool:
+    """Whether `need` or more of `slots` fair coin flips come up heads
+    with probability at least 1 / MAX_EXPECTED_DRAWS, decided exactly in
+    integers. Past the median the binomial terms C(slots, i) shrink by a
+    falling ratio, so the tail sum runs up from i = need and stops once
+    it is large enough, or once a geometric bound on the remaining terms
+    leaves it too small."""
+    if 2 * need <= slots:  # at most the median: probability at least 1/2
+        return True
+    goal = 1 << slots
+    tail, term = 0, comb(slots, need)  # term = C(slots, i)
+    for i in range(need, slots + 1):
+        tail += term
+        if tail * MAX_EXPECTED_DRAWS >= goal:
+            return True
+        term = term * (slots - i) // (i + 1)
+        rest = -(-term * (i + 2) // (2 * i + 3 - slots))  # >= every term past i
+        if (tail + rest) * MAX_EXPECTED_DRAWS < goal:
+            return False
+    return False
+
+
+def _clique_reduction(rng, n, k, ell):
+    """The reduction's instance on a G(n, 1/2) source, redrawn until it
+    has the ell(ell-1)/2 edges an ell-clique needs. Parameters whose
+    draw succeeds less often than once in MAX_EXPECTED_DRAWS tries are
+    refused before the first draw."""
     if ell is None:
         raise ParameterOutOfRangeError("family clique-reduction needs --ell")
     if not (2 <= ell <= n):
         raise ParameterOutOfRangeError(f"ell must be in 2..{n}")
+    pairs, slots = ell * (ell - 1) // 2, n * (n - 1) // 2
+    if not _draw_succeeds_often(slots, pairs):
+        raise ParameterOutOfRangeError(
+            f"ell={ell} needs {pairs} of the {slots} possible edges, which a"
+            f" G({n}, 1/2) draw has less often than once in {MAX_EXPECTED_DRAWS}"
+            " draws; choose a smaller ell or a larger n"
+        )
     while True:
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
-        if len(edges) >= ell * (ell - 1) // 2:
+        if len(edges) >= pairs:
             break
-    source = Graph(n, edges)
-    instance, _params = build_clique_reduction(source, ell, k)
-    return ParsedInstance(instance=instance, declared_class="clique-reduction")
+    return build_clique_reduction(Graph(n, edges), ell, k)[0]
 
 
+# family -> builder: (rng, n) -> (graph,) or (graph, order_a, order_b),
+# except clique-reduction: (rng, n, k, ell) -> instance.
 _BUILDERS = {
     "edgeless": _edgeless,
     "interval": _interval,
@@ -281,5 +289,9 @@ def build_family(
         raise UnknownFamilyError(f"unknown family {family!r}, choose from {FAMILIES}")
     rng = random.Random(seed)
     if build is _clique_reduction:
-        return build(rng, n, k, max_profit, ell)
-    return build(rng, n, k, max_profit)
+        instance, orders = build(rng, n, k, ell), ()
+    else:
+        graph, *orders = build(rng, n)
+        profits = [[rng.randint(0, max_profit) for _ in range(n)] for _ in range(k)]
+        instance = Instance(graph, profits)
+    return ParsedInstance(instance, family, *orders)

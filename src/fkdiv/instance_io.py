@@ -74,8 +74,7 @@ def parse_instance(text: str) -> ParsedInstance:
     edge_count = 0
     profit_rows: dict = {}
     declared = None
-    order_a = None
-    order_b = None
+    orders: dict = {}  # side "A" or "B" -> vertex ids
     td_header = None
     bags: dict = {}
     tree_edges = []
@@ -149,14 +148,9 @@ def parse_instance(text: str) -> ParsedInstance:
             ids = tuple(
                 _vertex(x, n, lineno) for x in _ints(parts[2:], lineno, "vertex id")
             )
-            if parts[1] == "A":
-                if order_a is not None:
-                    raise ParseError("duplicate 'o A' line", lineno)
-                order_a = ids
-            else:
-                if order_b is not None:
-                    raise ParseError("duplicate 'o B' line", lineno)
-                order_b = ids
+            if parts[1] in orders:
+                raise ParseError(f"duplicate 'o {parts[1]}' line", lineno)
+            orders[parts[1]] = ids
         elif tag == "t":
             if len(parts) != 3:
                 raise ParseError("decomposition header must be 't <count> <root>'", lineno)
@@ -201,7 +195,7 @@ def parse_instance(text: str) -> ParsedInstance:
     missing = _first_gap(profit_rows, k)
     if missing is not None:
         raise DimensionMismatchError(f"no profits for class {missing}")
-    if (order_a is None) != (order_b is None):
+    if len(orders) == 1:
         raise ParseError("orderings need both an 'o A' and an 'o B' line")
 
     decomposition = None
@@ -228,8 +222,8 @@ def parse_instance(text: str) -> ParsedInstance:
     return ParsedInstance(
         instance=instance,
         declared_class=declared,
-        order_a=order_a,
-        order_b=order_b,
+        order_a=orders.get("A"),
+        order_b=orders.get("B"),
         decomposition=decomposition,
         decomposition_root=root0,
     )
@@ -282,21 +276,17 @@ def build_report(
     elapsed_millis: int,
     profile_count: int | None,
 ) -> dict:
-    """Report dict with the fixed key order used in serialized output.
+    """Report dict, keyed by REPORT_KEYS in their order, which is the
+    order of the parameters and of the serialized output.
 
     coloring is the witness as k vertex tuples (0-based); the report
     stores it as an n-array of class numbers, 0 for uncolored, aligned
     so entry i describes vertex i+1 of the file format.
     """
-    return {
-        "value": value,
-        "coloring": list(coloring),
-        "profile": list(profile),
-        "algorithm": algorithm,
-        "epsilon": epsilon,
-        "elapsedMillis": elapsed_millis,
-        "profileCount": profile_count,
-    }
+    values = (
+        value, list(coloring), list(profile), algorithm, epsilon, elapsed_millis, profile_count
+    )
+    return dict(zip(REPORT_KEYS, values, strict=True))
 
 
 def coloring_array(witness, n: int) -> list:

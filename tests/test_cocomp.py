@@ -309,19 +309,18 @@ def frozen_start_key(table, profile):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.sampled_from(["bitset", "sets", "pruned", "rounded"]),
-)
-def test_start_key_matches_frozen_scan(seed, kind):
+@given(st.integers(min_value=0, max_value=10**6))
+def test_start_key_matches_frozen_scan(seed):
     """The smallest key holding a profile, for every profile of the final
     table and for profiles no cell holds: entries one past qbound or
-    below zero, another arity, and a lowered or raised entry."""
+    below zero, another arity, and a lowered or raised entry. Only packed
+    tables take their own scan; on other tables `start_key` is the frozen
+    scan, and the witness checks of set-mode and rounded solves cover it."""
     rng = random.Random(seed)
     n, k = rng.randint(1, 9), rng.randint(1, 3)
     inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
     assume(is_cocomparability(inst.graph))
-    inst, space = reference_space(kind, inst, rng)
+    inst, space = reference_space("bitset", inst, rng)
     orientation = complement_orientation(inst.graph)
     for _j, _v, table in iter_layer_tables(inst, orientation, space):
         pass

@@ -1,5 +1,11 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +14,13 @@ from hypothesis import strategies as st
 from fkdiv.bipartite import verify_biconvex_ordering
 from fkdiv.decomposition import is_chordal, verify_decomposition
 from fkdiv.errors import ParameterOutOfRangeError, UnknownFamilyError
-from fkdiv.generators import FAMILIES, build_clique_reduction, build_family
+import fkdiv
+from fkdiv.generators import (
+    FAMILIES,
+    MAX_EXPECTED_DRAWS,
+    build_clique_reduction,
+    build_family,
+)
 from fkdiv.graphs import Graph
 from fkdiv.instance_io import parse_instance, serialize_instance
 from fkdiv.oracle import brute_force
@@ -145,6 +157,47 @@ def test_parameter_range_checks():
         build_family("clique-reduction", 3, 2, 5, 0, ell=1)
     with pytest.raises(ParameterOutOfRangeError):
         build_family("clique-reduction", 3, 2, 5, 0, ell=4)
+
+
+def draw_succeeds(n, ell) -> Fraction:
+    """Probability that G(n, 1/2) has the ell(ell-1)/2 edges an ell-clique needs."""
+    slots, need = n * (n - 1) // 2, ell * (ell - 1) // 2
+    return Fraction(sum(comb(slots, i) for i in range(need, slots + 1)), 2**slots)
+
+
+def test_clique_reduction_refuses_a_source_it_would_redraw_too_often():
+    """Exactly the (n, ell) whose draw succeeds less often than once in
+    MAX_EXPECTED_DRAWS tries are refused, before any draw."""
+    assert draw_succeeds(5, 5) == Fraction(1, MAX_EXPECTED_DRAWS)
+    build_family("clique-reduction", 5, 2, 0, 0, ell=5)
+    for n in range(2, 15):
+        for ell in range(2, n + 1):
+            refused = draw_succeeds(n, ell) < Fraction(1, MAX_EXPECTED_DRAWS)
+            try:
+                build_family("clique-reduction", n, 2, 0, 0, ell=ell)
+            except ParameterOutOfRangeError as exc:
+                assert refused and f"once in {MAX_EXPECTED_DRAWS} draws" in str(exc), (n, ell)
+            else:
+                assert not refused, (n, ell)
+    with pytest.raises(ParameterOutOfRangeError, match="ell=11 needs 55 of the 66"):
+        build_family("clique-reduction", 12, 2, 0, 0, ell=11)
+
+
+def test_gen_refuses_a_hopeless_clique_reduction_with_exit_2(tmp_path):
+    """n=40, ell=40 needs all 780 edges of one draw; the command exits 2
+    at once instead of redrawing forever."""
+    out = tmp_path / "never.txt"
+    argv = ["gen", "--family", "clique-reduction", "--n", "40", "--ell", "40", "--out", str(out)]
+    res = subprocess.run(
+        [sys.executable, "-m", "fkdiv.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(fkdiv.__file__).resolve().parents[1])},
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ell=40 needs 780 of the 780 possible edges")
+    assert res.stdout == "" and not out.exists()
 
 
 def test_triangle_reduction_parameters():

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -351,6 +352,39 @@ def test_paired_check_catches_a_lossy_extend(monkeypatch, seed):
     monkeypatch.setattr(RoundingGrid, "extend", lossy)
     with pytest.raises(AssertionError, match="is not the grid index of"):
         paired_rounding_check(inst, "1/2")
+
+
+def test_paired_check_bounds_each_profile_by_its_fewest_items(monkeypatch):
+    """An exact profile T is bounded by r^m, m the fewest items of any
+    coloring reaching T in its cell, where the cell's layer j >= m gave
+    r^j. The real build passes; a build that also trims every finished
+    cell, dropping each truth a kept one covers within r^4, fails, and
+    some of its failures name an m below j, where r^j was looser."""
+    instances = [build_family("permutation", 12, 2, 400, seed).instance for seed in range(60)]
+    runs = [(inst, eps) for inst in instances for eps in ("1/2", "1", "2")]
+    for inst, eps in runs:
+        paired_rounding_check(inst, eps)
+
+    def trimmed(space, states):
+        states = states.prune_dominated()
+        gain, loss = space.grid.num**4, 1 << 4 * B
+        kept = {}
+        best_first = sorted(states._map.items(), key=lambda kt: (min(kt[1]), kt[1]), reverse=True)
+        for key, t in best_first:
+            if not any(all(a * gain >= q * loss for a, q in zip(u, t)) for u in kept.values()):
+                kept[key] = t
+        states._map = kept
+        return states
+
+    monkeypatch.setattr(RoundedProfileSpace, "finalize", trimmed)
+    depths = []
+    for inst, eps in runs:
+        try:
+            paired_rounding_check(inst, eps)
+        except AssertionError as exc:
+            j, m = re.fullmatch(r"layer (\d+) cell .* within r\^(\d+)", str(exc)).groups()
+            depths.append((int(m), int(j)))
+    assert any(m < j for m, j in depths), depths
 
 
 def test_scaling_smoke_fptas_table_rows(monkeypatch):
