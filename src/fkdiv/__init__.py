@@ -40,7 +40,6 @@ _EXPORTS = {
         "NotCocomparabilityError",
         "OrderingNotBiconvexError",
         "ParseError",
-        "StructureMismatchError",
     ),
     "fptas": ("FptasResult", "paired_rounding_check", "parse_epsilon", "solve_approx"),
     "graphs": ("Graph", "Instance", "chordal_peo"),

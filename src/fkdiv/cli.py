@@ -32,7 +32,6 @@ from .errors import (
     OrderingNotBiconvexError,
     ParameterOutOfRangeError,
     ParseError,
-    StructureMismatchError,
     UnknownFamilyError,
 )
 from .graphs import chordal_peo
@@ -60,7 +59,6 @@ _APPLICABILITY_ERRORS = (
     NotChordalError,
     NotCocomparabilityError,
     OrderingNotBiconvexError,
-    StructureMismatchError,
 )
 
 

@@ -41,10 +41,6 @@ class OrderingNotBiconvexError(FkdivError):
     pass
 
 
-class StructureMismatchError(FkdivError):
-    pass
-
-
 class NotChordalError(FkdivError):
     pass
 

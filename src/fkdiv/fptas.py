@@ -4,9 +4,9 @@ Running any space-aware solver on a rounded space caps each class at
 O(n * log UB / eps) grid indices, n items and UB its largest total,
 while keeping true profiles alongside, so the reported value is always
 realizable; it is at least the optimum divided by 1+eps on the ordered
-solver and by r^D on the tree DP (below). States hold no witnesses: the
-solver walks the best truth back through its tables, by the rule it
-uses for exact sets. The accuracy parameter must arrive as an exact
+and biconvex solvers and by r^D on the tree DP (below). States hold no
+witnesses: the solver walks the best truth back through its tables, by
+the rule it uses for exact sets. The accuracy parameter must arrive as an exact
 decimal string or Fraction; binary floats would silently change the
 grid. An accuracy whose grid would need more than MAX_INDEX_RANGE
 indices per class is refused with ParameterOutOfRangeError.
@@ -22,9 +22,10 @@ profile T at depth i when A >= T / r^i in every class.
   at the larger of their depths.
 - A cell build costs at most one factor r. Every collision in a build
   compares truths at their own final keys (the ordered DP extends each
-  source before the fold, `RoundedProfileSpace.extended_union`), so the
-  truth that keeps a cover's key is a cover one level deeper. A prune
-  drops a truth only for one at least as large in every class.
+  source before the fold, `RoundedProfileSpace.extended_union`, and the
+  biconvex DP folds its put sources already extended), so the truth
+  that keeps a cover's key is a cover one level deeper. A prune drops a
+  truth only for one at least as large in every class.
 - The ordered DP builds one cell per item of a coloring: an optimal
   coloring with m <= n items ends in a cell holding a cover of its
   profile at depth m. The final union keeps, per key, the truth with
@@ -36,7 +37,11 @@ profile T at depth i when A >= T / r^i in every class.
   largest number of forget and join nodes on a root-leaf path of the
   nice decomposition, and the value is at least opt / r^D. The grid is
   sized by n and D may exceed n, so this bound may be weaker than
-  1+eps. The biconvex route's bound is tested, not proven.
+  1+eps.
+- The biconvex frontier DP has one layer per item and builds each cell
+  in one build from the layer before, so its last layer's single cell
+  holds a cover at depth n, and the value is at least
+  opt / r^n >= opt / (1+eps).
 
 `paired_rounding_check` checks the covering invariant on the ordered
 DP, cell by cell, against an exact run: each undominated exact profile

@@ -5,18 +5,18 @@ import random
 import pytest
 
 from conftest import assert_witnesses
-from fkdiv import biconvex, cli
-from fkdiv.biconvex import enumerate_guesses, solve_biconvex, solve_biconvex_connected
-from fkdiv.bipartite import biconvex_structure, verify_biconvex_ordering
+from fkdiv import cli
+from fkdiv.biconvex import solve_biconvex
+from fkdiv.bipartite import verify_biconvex_ordering
 from fkdiv.cocomp import solve_cocomparability
 from fkdiv.decomposition import is_chordal
-from fkdiv.errors import OrderingNotBiconvexError, StructureMismatchError
+from fkdiv.errors import OrderingNotBiconvexError
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.instance_io import ParsedInstance, serialize_instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import is_cocomparability
-from fkdiv.profiles import ProfileSet, ProfileSpace, uses_bitset
+from fkdiv.profiles import uses_bitset
 from fkdiv.treedp import solve_treewidth
 
 
@@ -33,67 +33,6 @@ def test_verify_ordering_cases():
     p5 = Graph(5, [(0, 1), (0, 3), (2, 1), (2, 3), (4, 1)])
     assert verify_biconvex_ordering(p5, (0, 2, 4), (1, 3))
     assert not verify_biconvex_ordering(p5, (0, 4, 2), (1, 3))
-
-
-def test_structure_c4():
-    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    s = biconvex_structure(c4, (0, 2), (1, 3))
-    assert (s.a_left, s.a_right) == (0, 2)
-    assert s.tail_left == () and s.tail_right == ()
-    assert s.middle == (0, 1, 2, 3)
-
-
-def test_structure_star_tie_break():
-    star = Graph(3, [(0, 2), (1, 2)])
-    s = biconvex_structure(star, (0, 1), (2,))
-    assert s.a_left == 0
-    assert s.a_right == 1
-
-
-def test_structure_path_middle_is_whole_graph():
-    path = Graph(3, [(0, 1), (1, 2)])
-    s = biconvex_structure(path, (0, 2), (1,))
-    assert (s.a_left, s.a_right) == (0, 2)
-    assert s.middle == (0, 1, 2)
-
-
-def test_structure_mirrors_reversed_order():
-    zig = Graph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
-    s = biconvex_structure(zig, (1, 0), (2, 3, 4))
-    assert (s.a_left, s.a_right) == (0, 1)
-    assert s.order_a == (0, 1)
-
-
-def test_structure_rejects_one_sided_split():
-    g = Graph(2, [])
-    with pytest.raises(StructureMismatchError):
-        biconvex_structure(g, (0, 1), ())
-
-
-def test_guess_count_with_empty_tails():
-    assert list(enumerate_guesses((), (), 2)) == [(((None, None)), (None, None))] or len(
-        list(enumerate_guesses((), (), 2))
-    ) == 1
-
-
-def test_guess_reals_are_distinct_per_side():
-    guesses = list(enumerate_guesses((0, 1), (), 2))
-    for left, right in guesses:
-        reals = [g for g in left if g is not None]
-        assert len(reals) == len(set(reals))
-        assert right == (None, None)
-    assert len(guesses) == 7  # 3*3 combinations minus the two equal-real pairs
-
-
-def test_single_component_equals_connected_solver():
-    parsed = build_family("biconvex", 6, 2, 5, 11)
-    inst = parsed.instance
-    if not inst.graph.is_connected():
-        pytest.skip("seed produced a disconnected graph")
-    space = ProfileSpace.for_instance(inst)
-    whole = solve_biconvex(inst, parsed.order_a, parsed.order_b)
-    conn = solve_biconvex_connected(inst, parsed.order_a, parsed.order_b, space)
-    assert set(whole.profiles()) == set(conn.profiles())
 
 
 def test_solver_rejects_invalid_ordering():
@@ -137,67 +76,60 @@ def test_instance_without_vertices_gives_the_empty_coloring(k):
         assert solve_treewidth(inst, witnesses=True, prune=prune).best() == empty
 
 
-def test_items_replays_each_guess_once(monkeypatch):
+def test_items_replays_each_guess_once():
+    """`items()` gives the same witnesses when asked twice, and a fresh
+    set traces the same coloring for one profile alone."""
     parsed = build_family("biconvex", 18, 2, 4, 2)
     inst, orders = parsed.instance, (parsed.order_a, parsed.order_b)
-    replays = []
-
-    def counted(*args, **kwargs):
-        if kwargs.get("witnesses"):
-            replays.append(1)
-        return solve_cocomparability(*args, **kwargs)
-
-    monkeypatch.setattr(biconvex, "solve_cocomparability", counted)
     ps = solve_biconvex(inst, *orders, witnesses=True, prune=True)
-    assert not replays
     pairs = list(ps.items())
-    first = len(replays)
-    assert 0 < first < len(pairs)
     assert list(ps.items()) == pairs
-    assert len(replays) == first
     assert_witnesses(inst, ps)
-    # A fresh set, asked for one profile only, traces the same coloring.
     profile, witness = pairs[len(pairs) // 2]
     assert solve_biconvex(inst, *orders, witnesses=True, prune=True).witness_for(profile) == witness
 
 
 @pytest.mark.parametrize("scale", [1, 70000])
-def test_middle_solves_prune_only_set_mode_cells(monkeypatch, scale):
-    """The middle solves keep the ordered DP's prune rule: a bitset cell
-    is never pruned, so each middle solve prunes only the set it
-    returns, while set-mode cells still prune."""
+def test_middle_solves_prune_only_set_mode_cells(scale):
+    """A pruned solve finds the optimum on packed cells (scale 1) and on
+    set-mode cells (scale 70000) alike."""
     parsed = build_family("biconvex", 12, 2, 4, 3)
     inst = parsed.instance.with_profits(
         [[scale * x for x in row] for row in parsed.instance.profits]
     )
     assert uses_bitset(inst.k, inst.qbound) == (scale == 1)
-    counts = {"solves": 0, "prunes": 0}
-    inside = []
-    prune_dominated = ProfileSet.prune_dominated
-
-    def counted_prune(self):
-        if inside:
-            counts["prunes"] += 1
-        return prune_dominated(self)
-
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += 1
-        inside.append(1)
-        try:
-            return solve_cocomparability(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(ProfileSet, "prune_dominated", counted_prune)
-    monkeypatch.setattr(biconvex, "solve_cocomparability", counted_solve)
     ps = solve_biconvex(inst, parsed.order_a, parsed.order_b, witnesses=True, prune=True)
-    assert counts["solves"] > 0
-    if scale == 1:
-        assert counts["prunes"] == counts["solves"]
-    else:
-        assert counts["prunes"] > counts["solves"]
     assert ps.best()[0] == brute_force(inst).optimum
     assert_witnesses(inst, ps)
+
+
+@pytest.mark.parametrize("n,k,max_profit", [(30, 2, 9), (40, 2, 9), (60, 2, 9), (16, 3, 3), (24, 3, 3)])
+def test_pruned_sets_equal_the_ordered_dp(n, k, max_profit):
+    """The `biconvex` family is cocomparability too, so the two exact
+    routes must keep the same undominated profiles."""
+    for seed in range(3):
+        parsed = build_family("biconvex", n, k, max_profit, seed)
+        inst = parsed.instance
+        ps = solve_biconvex(inst, parsed.order_a, parsed.order_b, witnesses=True, prune=True)
+        assert ps.profiles() == solve_cocomparability(inst, prune=True).profiles(), seed
+        assert_witnesses(inst, ps)
+
+
+def test_components_and_isolated_vertices_on_both_sides():
+    """A path, a C4, and isolated vertices on side A (0, 1) and side B
+    (9), one of each between the components."""
+    g = Graph(10, [(2, 6), (3, 6), (4, 7), (4, 8), (5, 7), (5, 8)])
+    order_a, order_b = (2, 3, 0, 4, 5, 1), (6, 9, 7, 8)
+    assert verify_biconvex_ordering(g, order_a, order_b)
+    for k in (1, 2, 3):
+        inst = Instance(g, [[(3 * v + j) % 5 + 1 for v in range(g.n)] for j in range(k)])
+        want = brute_force(inst)
+        for prune in (False, True):
+            ps = solve_biconvex(inst, order_a, order_b, witnesses=True, prune=prune)
+            assert ps.best()[0] == want.optimum
+            if not prune:
+                assert frozenset(ps.profiles()) == want.profiles
+            assert_witnesses(inst, ps)
 
 
 def convex_order(graph, side, other):

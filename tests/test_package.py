@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import fkdiv
-from fkdiv.bipartite import BiconvexStructure
 from fkdiv.decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition
 from fkdiv.fptas import FptasResult
 from fkdiv.generators import CliqueReductionParams
@@ -79,10 +78,6 @@ RECORDS = [
     ),
     (FptasResult, ("value", "profile", "witness", "epsilon", "grid", "states")),
     (OracleResult, ("optimum", "witness", "profiles")),
-    (
-        BiconvexStructure,
-        ("order_a", "order_b", "a_left", "a_right", "tail_left", "tail_right", "middle"),
-    ),
     (
         CliqueReductionParams,
         (

@@ -338,6 +338,22 @@ def test_tree_route_value_is_within_r_to_the_depth(family, solver, decompose):
                     assert res.value * res.grid.num**depth >= opt << B * depth, (n, k, seed, eps)
 
 
+def test_biconvex_route_value_is_within_r_to_the_n():
+    """value * r^n >= opt on the biconvex route, whose n layers build
+    each cell once (`fptas.py`), as value * num^n >= opt * 2^(Bn)."""
+    for n in range(4, 11):
+        for k in (1, 2, 3):
+            for seed in range(4):
+                parsed = build_family("biconvex", n, k, 30, seed)
+                inst = parsed.instance
+                run = dict(applicable_solvers(parsed))["biconvex"]
+                opt = brute_force(inst).optimum
+                for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2)):
+                    res = solve_approx(inst, eps, solver=run)
+                    assert res.value <= opt
+                    assert res.value * res.grid.num**n >= opt << B * n, (n, k, seed, eps)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_paired_check_catches_a_lossy_extend(monkeypatch, seed):
     extend = RoundingGrid.extend
