@@ -35,10 +35,6 @@ from .orientation import Orientation, complement_orientation
 from .profiles import ProfileSet, ProfileSpace, uses_bitset
 
 
-def initial_table(space) -> dict:
-    return {(0,) * space.k: space.zero()}
-
-
 def _packs_ints(space) -> bool:
     """Whether the ordered DP's cells under `space` are exact packed
     bitmaps, which the row index holds as plain ints. The DP never
@@ -64,14 +60,12 @@ def index_cells(rows, states, size: int, packed: bool, skip: int = -1) -> None:
             row[key[s]] = cell._bits if packed else cell
 
 
-def layer_step(
-    table: dict, j: int, vertex: int, pred_positions, vertex_profits, space, rows
-) -> None:
+def layer_step(table: dict, j: int, preds, vertex_profits, space, rows) -> None:
     """Extend `table` with all states whose latest position is `j`.
 
-    pred_positions: positions allowed as the previous latest vertex of
-    the class receiving `vertex` (0 plus the positions of in-neighbors
-    of `vertex`). vertex_profits: per-class profit of `vertex`. rows:
+    preds: the sorted positions allowed as the previous latest vertex of
+    the class receiving the j-th vertex (`predecessor_layers`).
+    vertex_profits: per-class profit of that vertex. rows:
     the row index of `table` (`index_cells`): one dict per class s, from
     the other k-1 positions x of a key to a dense row indexed by its
     position of class s. The target with j at slot s and other
@@ -85,7 +79,6 @@ def layer_step(
     states stand for colorings that skip the vertex and stay as they are.
     """
     packed = _packs_ints(space)
-    preds = sorted(pred_positions)
     pick = itemgetter(*preds) if len(preds) > 1 else lambda row: (row[preds[0]],)
     built = []
     for s, class_rows in enumerate(rows):
@@ -112,25 +105,28 @@ def layer_step(
         index_cells(rows, made, size, packed, skip=s)
 
 
-def iter_layer_tables(instance: Instance, orientation: Orientation, space):
-    """Yield (position, vertex, table) after each layer, starting at 0.
+def predecessor_layers(orientation: Orientation) -> list:
+    """Per layer j = 1..n, (vertex, preds): the j-th vertex of the order
+    and the sorted positions a class receiving it may hold before, 0 and
+    the positions of its in-neighbors."""
+    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
+    return [
+        (v, [0, *sorted(pos[u] for u in orientation.in_neighbors(v))])
+        for v in orientation.order
+    ]
 
-    The table object is mutated between yields; consumers wanting a
-    snapshot must copy what they need before advancing. Cells are
-    finalized by `space`, except packed ones (`_packs_ints`).
-    """
-    order = orientation.order
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    table = initial_table(space)
+
+def state_table(instance: Instance, layers: list, space) -> dict:
+    """The finished table of every state over `layers`
+    (`predecessor_layers`), built one `layer_step` a layer. Cells are
+    finalized by `space`, except packed ones (`_packs_ints`)."""
+    table = {(0,) * space.k: space.zero()}
     rows = [{} for _ in range(space.k)]
-    index_cells(rows, table.items(), len(order) + 1, _packs_ints(space))
-    yield 0, None, table
-    for j, v in enumerate(order, start=1):
-        preds = {0}
-        preds.update(pos[u] for u in orientation.in_neighbors(v))
-        profits = [instance.profit(s, v) for s in range(instance.k)]
-        layer_step(table, j, v, preds, profits, space, rows)
-        yield j, v, table
+    index_cells(rows, table.items(), len(layers) + 1, _packs_ints(space))
+    for j, (v, preds) in enumerate(layers, start=1):
+        profits = [instance.profit(s, v) for s in range(space.k)]
+        layer_step(table, j, preds, profits, space, rows)
+    return table
 
 
 def start_key(table: dict, profile):
@@ -147,17 +143,15 @@ def start_key(table: dict, profile):
     return min((key for key, cell in table.items() if profile in cell), default=None)
 
 
-def walk_back(instance: Instance, orientation: Orientation, table: dict):
+def walk_back(instance: Instance, layers: list, table: dict):
     """Witness recovery over a finished `table`: profile -> coloring.
 
     A profile is traced from the smallest state key holding it. A state
     whose largest position j sits in class s was built from states with
-    that entry replaced by a predecessor position of the j-th vertex, by
-    adding its profit to class s; the walk takes the smallest such
-    position whose state holds the reduced profile.
+    that entry replaced by a predecessor position of the j-th vertex
+    (`layers[j - 1]`), by adding its profit to class s; the walk takes
+    the smallest such position whose state holds the reduced profile.
     """
-    order = orientation.order
-    pos = {v: i + 1 for i, v in enumerate(order)}
 
     def witness(profile):
         key = start_key(table, profile)
@@ -168,11 +162,11 @@ def walk_back(instance: Instance, orientation: Orientation, table: dict):
         while any(key):
             j = max(key)
             s = key.index(j)
-            v = order[j - 1]
+            v, preds = layers[j - 1]
             coloring[s].append(v)
             p[s] -= instance.profit(s, v)
             reduced = tuple(p)
-            for i in sorted({0, *(pos[u] for u in orientation.in_neighbors(v))}):
+            for i in preds:
                 source = key[:s] + (i,) + key[s + 1 :]
                 cell = table.get(source)
                 if cell is not None and reduced in cell:
@@ -204,15 +198,15 @@ def solve_cocomparability(
     trace a witness back through the final table when one is asked for.
     Without a `space`, `prune` picks the space's policy. The returned
     union is finalized by `space`, packed or not (cells follow
-    `iter_layer_tables`); rounded sets are traced the same way.
+    `state_table`); rounded sets are traced the same way.
     """
     if orientation is None:
         orientation = complement_orientation(instance.graph)
     if space is None:
         space = ProfileSpace.for_instance(instance, prune=prune)
-    for _j, _v, table in iter_layer_tables(instance, orientation, space):
-        pass
+    layers = predecessor_layers(orientation)
+    table = state_table(instance, layers, space)
     result = space.finalize(space.union(table.values()))
     if witnesses:
-        result.traceback = walk_back(instance, orientation, table)
+        result.traceback = walk_back(instance, layers, table)
     return result

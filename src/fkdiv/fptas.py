@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocomp import iter_layer_tables, solve_cocomparability
+from .cocomp import predecessor_layers, solve_cocomparability, state_table
 from .graphs import Instance
 from .orientation import complement_orientation
 from .profiles import ProfileSpace, undominated
@@ -147,15 +147,16 @@ def solve_approx(instance: Instance, epsilon, solver=solve_cocomparability) -> F
 
 
 def paired_rounding_check(instance: Instance, epsilon) -> dict:
-    """Run the ordered solver exactly and rounded in lockstep and check
-    the rounding layer by layer.
+    """Run the ordered solver exactly and rounded, and check the rounding
+    cell by cell on the two finished tables.
 
     The exact run counts items: every profit p becomes p * (n+1) + 1, so
     an entry q of its profiles splits into the class's exact total
-    q // (n+1) and its item count q % (n+1). Both runs must hold the same
-    cell keys at every layer: the rounding never changes which cells
-    exist, only what each one holds. Each cell is checked once, at the
-    layer j of its largest position: every state's key is
+    q // (n+1) and its item count q % (n+1). Both tables must hold the
+    same state keys: the rounding never changes which cells exist, only
+    what each one holds. Each state is written once, at the layer j of
+    its largest position, and no later layer changes it, so a finished
+    cell is the cell that layer built. In each one, every state's key is
     `grid.round_profile` of its truth, which puts the truth in
     [r^key, r^(key+1)) and the sentinel exactly at zero; every truth is
     in the exact cell; and every undominated exact profile T of the cell
@@ -167,42 +168,35 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
-    orientation = complement_orientation(instance.graph)
+    layers = predecessor_layers(complement_orientation(instance.graph))
     base = instance.n + 1
     counted = instance.with_profits([[p * base + 1 for p in row] for row in instance.profits])
 
-    exact_run = iter_layer_tables(counted, orientation, ProfileSpace.for_instance(counted))
-    rounded_run = iter_layer_tables(instance, orientation, RoundedProfileSpace(instance.k, grid))
-    layers = cells = entries = 0
-    for (j, _v1, exact_table), (_j2, _v2, rounded_table) in zip(
-        exact_run, rounded_run, strict=True
-    ):
-        if exact_table.keys() != rounded_table.keys():
-            raise AssertionError(f"layer {j}: exact and rounded state keys differ")
-        layers += 1
-        for key, states in rounded_table.items():
-            if max(key) != j:
-                continue
-            cells += 1
-            fewest = {}  # exact profile of the cell -> fewest items reaching it
-            for counts in exact_table[key].profiles():
-                t = tuple(q // base for q in counts)
-                m = sum(q % base for q in counts)
-                fewest[t] = min(fewest.get(t, m), m)
-            for idx_key, true in states.keyed():
-                entries += 1
-                if idx_key != grid.round_profile(true):
-                    raise AssertionError(
-                        f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
-                    )
-                if true not in fewest:
-                    raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
-            truths = states.profiles()
-            for t in undominated(fewest, instance.k):
-                m = fewest[t]
-                gain, loss = grid.num**m, 1 << B * m
-                if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
-                    raise AssertionError(
-                        f"layer {j} cell {key}: no truth covers {t} within r^{m}"
-                    )
-    return {"layers": layers, "cells": cells, "entries": entries}
+    exact_table = state_table(counted, layers, ProfileSpace.for_instance(counted))
+    rounded_table = state_table(instance, layers, RoundedProfileSpace(instance.k, grid))
+    if exact_table.keys() != rounded_table.keys():
+        j = min(map(max, exact_table.keys() ^ rounded_table.keys()))
+        raise AssertionError(f"layer {j}: exact and rounded state keys differ")
+    entries = 0
+    for key, states in rounded_table.items():
+        j = max(key)
+        fewest = {}  # exact profile of the cell -> fewest items reaching it
+        for counts in exact_table[key].profiles():
+            t = tuple(q // base for q in counts)
+            m = sum(q % base for q in counts)
+            fewest[t] = min(fewest.get(t, m), m)
+        for idx_key, true in states.keyed():
+            entries += 1
+            if idx_key != grid.round_profile(true):
+                raise AssertionError(
+                    f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
+                )
+            if true not in fewest:
+                raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
+        truths = states.profiles()
+        for t in undominated(fewest, instance.k):
+            m = fewest[t]
+            gain, loss = grid.num**m, 1 << B * m
+            if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
+                raise AssertionError(f"layer {j} cell {key}: no truth covers {t} within r^{m}")
+    return {"layers": len(layers) + 1, "cells": len(rounded_table), "entries": entries}

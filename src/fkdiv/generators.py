@@ -282,11 +282,14 @@ def build_family(
     seed: int,
     ell: int | None = None,
 ) -> ParsedInstance:
-    """One seeded instance of the named family."""
+    """One seeded instance of the named family. `ell` is the clique size
+    of clique-reduction, and any other family refuses one."""
     _check_common(n, k, max_profit)
     build = _BUILDERS.get(family)
     if build is None:
         raise UnknownFamilyError(f"unknown family {family!r}, choose from {FAMILIES}")
+    if ell is not None and build is not _clique_reduction:
+        raise ParameterOutOfRangeError(f"ell applies only to clique-reduction, not to {family}")
     rng = random.Random(seed)
     if build is _clique_reduction:
         instance, orders = build(rng, n, k, ell), ()

@@ -105,25 +105,6 @@ class Graph:
         masks = [sum(1 << index[u] for u in iter_bits(self.masks[v] & keep)) for v in vs]
         return Graph._from_masks(masks), vs
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
-        out = []
-        rest = (1 << self.n) - 1
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                for u in iter_bits(frontier):
-                    reach |= self.masks[u]
-                frontier = reach & ~comp
-                comp |= frontier
-            rest &= ~comp
-            out.append(list(iter_bits(comp)))
-        return out
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -226,11 +207,6 @@ class Instance:
 
     def with_profits(self, profits) -> "Instance":
         return Instance(self.graph, profits)
-
-    def sub_instance(self, vertices) -> tuple["Instance", tuple[int, ...]]:
-        sub, ids = self.graph.induced(vertices)
-        rows = [tuple(row[v] for v in ids) for row in self.profits]
-        return Instance(sub, rows), ids
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

@@ -12,7 +12,7 @@ from fkdiv.cocomp import solve_cocomparability
 from fkdiv.decomposition import is_chordal
 from fkdiv.errors import OrderingNotBiconvexError
 from fkdiv.generators import build_family
-from fkdiv.graphs import Graph, Instance
+from fkdiv.graphs import Graph, Instance, iter_bits
 from fkdiv.instance_io import ParsedInstance, serialize_instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import is_cocomparability
@@ -145,6 +145,19 @@ def convex_order(graph, side, other):
     return None
 
 
+def connected(g) -> bool:
+    """Whether a breadth-first search over `g.masks` from vertex 0
+    reaches every vertex."""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for u in iter_bits(frontier):
+            reach |= g.masks[u]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
+
+
 def biconvex_off_cocomparability(rng, count):
     """`count` (graph, order_a, order_b): connected bipartite graphs with
     sides of 3-5 vertices and biconvex orderings, none of them a
@@ -155,7 +168,7 @@ def biconvex_off_cocomparability(rng, count):
         a, b = rng.randint(3, 5), rng.randint(3, 5)
         side_a, side_b = range(a), range(a, a + b)
         g = Graph(a + b, [(u, v) for u in side_a for v in side_b if rng.random() < 0.5])
-        if not g.is_connected() or is_cocomparability(g):
+        if not connected(g) or is_cocomparability(g):
             continue
         order_a = convex_order(g, side_a, side_b)
         order_b = order_a and convex_order(g, side_b, side_a)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_witnesses, random_instance
 import fkdiv.cocomp as cocomp
-from fkdiv.cocomp import initial_table, iter_layer_tables, solve_cocomparability, start_key
+from fkdiv.cocomp import predecessor_layers, solve_cocomparability, start_key, state_table
 from fkdiv.fptas import solve_approx
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
@@ -31,25 +32,6 @@ def test_single_vertex_both_classes():
     ps = solve_cocomparability(inst)
     assert set(ps.profiles()) == {(0, 0), (4, 0), (0, 9)}
     assert ps.best()[0] == 0
-
-
-def test_layer_tables_start_empty_and_grow():
-    inst = Instance(Graph(2, []), ((2, 3),))
-    space = ProfileSpace.for_instance(inst)
-    orientation = complement_orientation(inst.graph)
-    snapshots = [(j, v, set(table)) for j, v, table in iter_layer_tables(inst, orientation, space)]
-    assert snapshots[0][:2] == (0, None)
-    assert snapshots[0][2] == {(0,)}
-    assert len(snapshots) == 3
-    assert snapshots[1][2] < snapshots[2][2]
-    assert any(key != (0,) for key in snapshots[-1][2])
-
-
-def test_initial_table_shape():
-    space = ProfileSpace(3, 9)
-    table = initial_table(space)
-    assert list(table) == [(0, 0, 0)]
-    assert table[(0, 0, 0)].profiles() == [(0, 0, 0)]
 
 
 def test_pruned_solve_keeps_best_value():
@@ -135,36 +117,35 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
     assert uses_bitset(inst.k, inst.qbound)
     tables = []
     prunes = []
-    prunes_after_layers = []
+    layer_prunes = []
     prune = ProfileSet.prune_dominated
+    step = cocomp.layer_step
 
     def counting(pset):
         prunes.append(len(pset))
         return prune(pset)
 
-    def capturing(*args):
-        for j, v, table in iter_layer_tables(*args):
-            tables.append(table)
-            yield j, v, table
-        prunes_after_layers.append(len(prunes))
+    def stepping(table, *args):
+        before = len(prunes)
+        step(table, *args)
+        layer_prunes.append(len(prunes) - before)
+        tables.append(table)
 
     monkeypatch.setattr(ProfileSet, "prune_dominated", counting)
-    monkeypatch.setattr(cocomp, "iter_layer_tables", capturing)
+    monkeypatch.setattr(cocomp, "layer_step", stepping)
     ps = solve_cocomparability(inst, witnesses=True, prune=True)
     # The layers prune no packed cell; only the final union is pruned.
-    assert prunes_after_layers == [0] and len(prunes) == 1
+    assert layer_prunes == [0] * inst.n and len(prunes) == 1
     assert_witnesses(inst, ps, limit=0)
     assert len(tables[-1]) > 1
     assert all(cell._bits is not None for cell in tables[-1].values())
-    orientation = complement_orientation(inst.graph)
-    runs = [
-        iter_layer_tables(inst, orientation, ProfileSpace.for_instance(inst, prune=p))
-        for p in (True, False)
-    ]
-    for (_j, _v, pruning), (_, _, exact) in zip(*runs):
-        assert {key: cell._bits for key, cell in pruning.items()} == {
-            key: cell._bits for key, cell in exact.items()
-        }
+    layers = predecessor_layers(complement_orientation(inst.graph))
+    pruning, exact = (
+        state_table(inst, layers, ProfileSpace.for_instance(inst, prune=p)) for p in (True, False)
+    )
+    assert {key: cell._bits for key, cell in pruning.items()} == {
+        key: cell._bits for key, cell in exact.items()
+    }
     assert len(prunes) == 1
 
 
@@ -230,8 +211,7 @@ def test_row_index_builds_the_reference_tables(seed, kind):
     inst, space = reference_space(kind, inst, rng)
     orientation = complement_orientation(inst.graph)
     want = reference_table(inst, orientation, space)
-    for _j, _v, got in iter_layer_tables(inst, orientation, space):
-        pass
+    got = state_table(inst, predecessor_layers(orientation), space)
     assert got.keys() == want.keys()
     for key, cell in want.items():
         assert got[key].profiles() == cell.profiles(), key
@@ -273,8 +253,7 @@ def test_packed_gather_builds_the_reference_tables_at_larger_n(seed, family):
         assert len(lone) == n
     space = ProfileSpace.for_instance(inst, prune=rng.random() < 0.5)
     want = reference_table(inst, orientation, ProfileSpace.for_instance(inst))
-    for _j, _v, got in iter_layer_tables(inst, orientation, space):
-        pass
+    got = state_table(inst, predecessor_layers(orientation), space)
     assert got.keys() == want.keys()
     for key, cell in want.items():
         assert got[key]._bits == cell._bits, key
@@ -302,6 +281,45 @@ def test_layer_step_runs_once_per_layer_through_the_module_global(monkeypatch):
     assert calls[-1] > 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["bitset", "sets", "pruned", "rounded"]),
+    st.sampled_from(["permutation", "interval"]),
+)
+def test_no_layer_changes_an_earlier_layers_state(seed, kind, family):
+    """Every state keeps the cell object its layer wrote, holding what it
+    held then, so a check of the finished table checks every layer as it
+    was built. A wrapper on `cocomp.layer_step` records each new key's
+    cell and its profiles (its keyed truths when rounded)."""
+    rng = random.Random(seed)
+    inst = build_family(family, rng.randint(1, 9), rng.randint(1, 3), 5, seed).instance
+    inst, space = reference_space(kind, inst, rng)
+    written = {}
+    step = cocomp.layer_step
+
+    def contents(cell):
+        return getattr(cell, "keyed", cell.profiles)()
+
+    def record(table):
+        for key, cell in table.items():
+            if key not in written:
+                written[key] = cell, contents(cell)
+
+    def recording(table, *args):
+        record(table)
+        step(table, *args)
+        record(table)
+
+    layers = predecessor_layers(complement_orientation(inst.graph))
+    with patch.object(cocomp, "layer_step", recording):
+        table = state_table(inst, layers, space)
+    assert written.keys() == table.keys()
+    for key, (cell, held) in written.items():
+        assert table[key] is cell, key
+        assert contents(cell) == held, key
+
+
 def frozen_start_key(table, profile):
     """The walk-back's first scan as it stood: every cell asked for the
     profile through its generic membership test."""
@@ -321,9 +339,7 @@ def test_start_key_matches_frozen_scan(seed):
     inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
     assume(is_cocomparability(inst.graph))
     inst, space = reference_space("bitset", inst, rng)
-    orientation = complement_orientation(inst.graph)
-    for _j, _v, table in iter_layer_tables(inst, orientation, space):
-        pass
+    table = state_table(inst, predecessor_layers(complement_orientation(inst.graph)), space)
     profiles = space.union(table.values()).profiles()
     probes = list(profiles)
     for p in profiles:

@@ -15,6 +15,7 @@ from fkdiv.bipartite import verify_biconvex_ordering
 from fkdiv.decomposition import is_chordal, verify_decomposition
 from fkdiv.errors import ParameterOutOfRangeError, UnknownFamilyError
 import fkdiv
+from fkdiv import cli
 from fkdiv.generators import (
     FAMILIES,
     MAX_EXPECTED_DRAWS,
@@ -198,6 +199,23 @@ def test_gen_refuses_a_hopeless_clique_reduction_with_exit_2(tmp_path):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error: ell=40 needs 780 of the 780 possible edges")
     assert res.stdout == "" and not out.exists()
+
+
+def test_ell_is_refused_outside_clique_reduction(tmp_path, capsys):
+    """Every other family refuses an `ell` instead of ignoring it, and
+    `gen` exits 2 without writing a file."""
+    for family in FAMILIES:
+        if family == "clique-reduction":
+            continue
+        with pytest.raises(ParameterOutOfRangeError, match=f"not to {family}"):
+            build_family(family, 6, 2, 9, 0, ell=3)
+        build_family(family, 6, 2, 9, 0, ell=None)
+    out = tmp_path / "never.txt"
+    argv = ["gen", "--family", "interval", "--n", "6", "--ell", "3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ell applies only to clique-reduction"), err
+    assert not out.exists()
 
 
 def test_triangle_reduction_parameters():

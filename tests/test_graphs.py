@@ -52,25 +52,6 @@ class ReferenceGraph:
         ]
         return ReferenceGraph(len(vs), edges), vs
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
-
 
 def small_graphs(max_n=6):
     @st.composite
@@ -158,7 +139,6 @@ def test_mask_graph_matches_edge_set_reference(case):
     sub, ids = g.induced(subset)
     ref_sub, ref_ids = ref.induced(subset)
     assert (sub.n, sub.edges, ids) == (ref_sub.n, ref_sub.edges, ref_ids)
-    assert g.components() == ref.components()
     twin = Graph(n, reversed(edges))
     assert g == twin
     assert hash(g) == hash(twin)
@@ -173,13 +153,6 @@ def test_complement_of_permutation_n400_is_fast():
         elapsed = min(elapsed, time.perf_counter() - start)
     assert elapsed < 0.01
     assert comp.m == 400 * 399 // 2 - g.m
-
-
-def test_components_sorted_by_minimum():
-    g = Graph(5, [(3, 4), (0, 1)])
-    assert g.components() == [[0, 1], [2], [3, 4]]
-    assert not g.is_connected()
-    assert Graph(2, [(0, 1)]).is_connected()
 
 
 def test_induced_subgraph_relabels():
@@ -204,11 +177,3 @@ def test_instance_rejects_bad_rows():
         Instance(Graph(2, []), ((1,),))
     with pytest.raises(ValueError):
         Instance(Graph(2, []), ((1, -1),))
-
-
-def test_sub_instance_keeps_profit_alignment():
-    inst = Instance(Graph(3, [(0, 2)]), ((4, 5, 6),))
-    sub, ids = inst.sub_instance((0, 2))
-    assert ids == (0, 2)
-    assert sub.profits == ((4, 6),)
-    assert sub.graph.edges == frozenset({(0, 1)})
