@@ -1,4 +1,4 @@
-"""Timing sweep for the ordered-layer solver on interval instances.
+"""Timing sweep for the cocomparability solver on interval instances.
 
 Measures wall time at a few sizes and compares growth against the
 n^(k+2) * (Q+1)^k operation-count trend, where Q is the largest
@@ -6,7 +6,7 @@ per-class profit total. Run directly for a small table:
 
     python3 scripts/scaling_smoke.py
 
-With --epsilon it instead compares the exact pruned ordered solver
+With --epsilon it instead compares the exact pruned cocomparability solver
 with the FPTAS on the same instances, over sizes, per-item profit caps
 (and so Q) and accuracies:
 
@@ -177,7 +177,7 @@ def main() -> int:
     ap.add_argument("--max-profits", type=int, nargs="+", default=[1, 10, 100],
                     help="per-item profit caps for the FPTAS table")
     ap.add_argument("--tree", action="store_true",
-                    help="time the tree route's layers instead of the ordered solver")
+                    help="time the tree route's layers instead of the cocomparability solver")
     args = ap.parse_args()
 
     if args.tree:

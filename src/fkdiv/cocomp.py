@@ -1,188 +1,179 @@
-"""Ordered dynamic program over a transitively oriented complement.
+"""Frontier dynamic program over a fixed vertex order.
 
-With the complement's arcs forming a strict partial order, independent
-sets of the conflict graph are exactly chains of that order, so a class
-is grown by remembering only its latest vertex. States are k-tuples of
-positions in the orientation's linear order (0 meaning the class is
-still empty); each state holds the profiles realizable with those latest
-vertices.
+Vertices are taken one at a time. A state is, for each class, the mask
+of the later vertices adjacent to some member of the class, which that
+class may no longer take; each state holds the profiles of the partial
+colorings of the vertices so far that leave those masks. A vertex is
+either skipped, so every mask drops its bit, or put in a class whose
+mask lacks it, which adds the vertex's later neighbors to that mask.
+Each target cell is one union of its skip sources as they are and its
+put sources already extended, then one `space.finalize`: one build per
+layer, which is what the FPTAS bound in `fptas.py` counts. A target
+with one source takes that cell, or its extension, as it is: extending
+a finalized cell leaves nothing for `finalize` to drop. Exact packed
+cells (`_packs_ints`) are plain ints in the tables: they fold by OR,
+shifted by the vertex's packed profit where they take it, and are never
+pruned inside a layer, as a packed bitmap costs its width whatever it
+holds.
 
-Every state other than the empty one is written exactly once, at the
-layer of its largest position, so the final table holds each state as
-it stood when later layers read it. A witness is therefore recovered
-by walking a profile back through that table instead of storing one
-coloring per profile.
+A key is one int holding the k masks in fields of n+1 bits, class 0 in
+the top field, so int order is the order of the mask tuples. Bit 0 of
+a field stands for the vertex being placed and bit n is a guard that
+catches the bit the next field loses when the whole key shifts right.
 
-Next to the table sits a row index: for each class s, the other k-1
-positions x of a state map to a dense row, a list indexed by the
-position of class s that holds each state's cell (None where no state
-is). The target with the new position at slot s is built from row x's
-entries at predecessor positions, picked in one `operator.itemgetter`
-call, so a layer reads rows instead of scanning every state key, and
-builds each target once. Where cells are exact packed bitmaps, rows
-hold the bitmaps as plain ints (0 for no state):
-a target's bitmap is the OR of its picked ints, shifted once by the
-vertex's packed profit.
+The program is exact for any order; the order only bounds how many
+states a layer holds. `solve_cocomparability` takes the linear order of
+a transitive orientation of the complement. A class is then a chain of
+that order, and a later vertex adjacent to some member is adjacent to
+its latest one, so a class's mask is fixed by its latest vertex and a
+layer holds at most (n+1)^k states. `biconvex.py` gives the order of
+its own route.
+
+Every layer's table is kept. With `witnesses`, a profile is walked back
+from the final state, last vertex first: the vertex is skipped if
+a state that skipping maps to the current one holds the profile (the
+smallest such state); otherwise it goes to the smallest class, then
+from the smallest state, whose cell holds the profile less its profit
+there.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import itemgetter, or_
-
 from .graphs import Instance
-from .orientation import Orientation, complement_orientation
-from .profiles import ProfileSet, ProfileSpace, uses_bitset
+from .profiles import ProfileSpace, uses_bitset
 
 
 def _packs_ints(space) -> bool:
-    """Whether the ordered DP's cells under `space` are exact packed
-    bitmaps, which the row index holds as plain ints. The DP never
-    prunes such a cell, whatever `space.prune` says: a packed bitmap
-    costs its width whatever it holds."""
+    """Whether cells under `space` are exact packed bitmaps, which a
+    layer folds as plain ints and never prunes, whatever `space.prune`
+    says."""
     return isinstance(space, ProfileSpace) and uses_bitset(space.k, space.qbound)
 
 
-def index_cells(rows, states, size: int, packed: bool, skip: int = -1) -> None:
-    """File (key, cell) pairs in the row index `rows` of every class but
-    `skip`: under the row of the key's other positions, at the key's own
-    position. New rows have `size` entries, all 0 if `packed` (rows hold
-    `cell._bits`) and None otherwise (rows hold the cells)."""
-    fill = 0 if packed else None
-    for s, class_rows in enumerate(rows):
-        if s == skip:
-            continue
-        for key, cell in states:
-            x = key[:s] + key[s + 1 :]
-            row = class_rows.get(x)
-            if row is None:
-                row = class_rows[x] = [fill] * size
-            row[key[s]] = cell._bits if packed else cell
+def _fields(k: int, width: int):
+    """(offsets, keep): each class's field offset in a key, class 0 on
+    top, and the mask of every field's bits below its guard."""
+    offsets = [(k - 1 - c) * width for c in range(k)]
+    return offsets, sum(((1 << width - 1) - 1) << off for off in offsets)
 
 
-def layer_step(table: dict, j: int, preds, vertex_profits, space, rows) -> None:
-    """Extend `table` with all states whose latest position is `j`.
+def layer_step(table: dict, later: int, profits, space, width: int) -> dict:
+    """The next layer's table after one vertex. `table` maps keys, with
+    bit 0 of each field standing for the vertex, to cells (bitmaps where
+    `_packs_ints`); `later` holds the vertex's later neighbors in the
+    same bits and `profits` its profit per class. Fields are `width`
+    bits wide."""
+    offsets, keep = _fields(space.k, width)
+    if _packs_ints(space):
+        base = space.qbound + 1  # packed weight of class c: base^(k-1-c)
+        puts = [
+            (off, later << off, profits[c] * base ** (space.k - 1 - c))
+            for c, off in enumerate(offsets)
+        ]
+        acc = {}
+        get = acc.get
+        for key, cell in table.items():
+            rest = key >> 1 & keep
+            acc[rest] = get(rest, 0) | cell
+            for off, spread, shift in puts:
+                if not key >> off & 1:
+                    target = (key | spread) >> 1 & keep
+                    acc[target] = get(target, 0) | cell << shift
+        return acc
+    links = {}
+    for key, cell in table.items():
+        links.setdefault(key >> 1 & keep, []).append(cell)
+        for c, off in enumerate(offsets):
+            if not key >> off & 1:
+                target = (key | later << off) >> 1 & keep
+                links.setdefault(target, []).append(cell.extended(c, profits[c]))
+    return {
+        target: cells[0] if len(cells) == 1 else space.finalize(space.union(cells))
+        for target, cells in links.items()
+    }
 
-    preds: the sorted positions allowed as the previous latest vertex of
-    the class receiving the j-th vertex (`predecessor_layers`).
-    vertex_profits: per-class profit of that vertex. rows:
-    the row index of `table` (`index_cells`): one dict per class s, from
-    the other k-1 positions x of a key to a dense row indexed by its
-    position of class s. The target with j at slot s and other
-    positions x is built from row x of class s, whose predecessor
-    entries one `itemgetter` picks. Packed exact rows hold ints, which
-    fold by OR and shift once by the profit; other rows hold cells (or
-    None), which one `space.extended_union` builds from. A target is
-    filed at once in its own row, at position j, which no pick of this
-    layer reads; rows of the other classes get it after every target is
-    built, so no row read in layer j holds a layer-j state. Existing
-    states stand for colorings that skip the vertex and stay as they are.
-    """
+
+def later_masks(graph, order) -> list:
+    """Per position i of `order`, its vertex's neighbors after it, bit
+    j - i standing for position j."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in graph.neighbors(v)) >> i for i, v in enumerate(order)]
+
+
+def frontier_tables(instance: Instance, order, space) -> list:
+    """The n + 1 layer tables over `order`, the first holding the zero
+    set at key 0, each next one built by one `layer_step`."""
+    zero = space.zero()
+    tables = [{0: zero._bits if _packs_ints(space) else zero}]
+    for v, later in zip(order, later_masks(instance.graph, order)):
+        profits = [instance.profit(c, v) for c in range(space.k)]
+        tables.append(layer_step(tables[-1], later, profits, space, len(order) + 1))
+    return tables
+
+
+def solve_frontier(instance: Instance, order, space, witnesses: bool):
+    """Profile set of the frontier DP over `order`, finalized by `space`;
+    with `witnesses`, it walks a profile back by the rule in the module
+    docstring."""
+    tables = frontier_tables(instance, order, space)
+    final = tables[-1][0]  # no mask is left after the last vertex
     packed = _packs_ints(space)
-    pick = itemgetter(*preds) if len(preds) > 1 else lambda row: (row[preds[0]],)
-    built = []
-    for s, class_rows in enumerate(rows):
-        made = []
-        if packed:
-            amount = vertex_profits[s]
-            for x, row in class_rows.items():
-                bits = reduce(or_, pick(row))
-                if bits:
-                    cell = space.extended_bits(bits, s, amount)
-                    row[j] = cell._bits
-                    made.append((x[:s] + (j,) + x[s:], cell))
-        else:
-            for x, row in class_rows.items():
-                sources = [cell for cell in pick(row) if cell is not None]
-                if sources:
-                    cell = space.finalize(space.extended_union(sources, s, vertex_profits[s]))
-                    row[j] = cell
-                    made.append((x[:s] + (j,) + x[s:], cell))
-        built.append(made)
-    size = len(next(iter(rows[0].values())))
-    for s, made in enumerate(built):
-        table.update(made)
-        index_cells(rows, made, size, packed, skip=s)
+    result = space.finalize(space.from_bits(final) if packed else final)
+    if not witnesses:
+        return result
+    k, laters = instance.k, later_masks(instance.graph, order)
+    offsets, keep = _fields(k, len(order) + 1)
+    # Bit 0 of any set of fields: a skip source of key t is t << 1 | low.
+    lows = sorted(sum(1 << offsets[c] for c in range(k) if sub >> c & 1) for sub in range(1 << k))
 
+    def holds(cell, q) -> bool:
+        if not packed:
+            return q in cell
+        idx = result.packed_index(q)
+        return idx is not None and bool(cell >> idx & 1)
 
-def predecessor_layers(orientation: Orientation) -> list:
-    """Per layer j = 1..n, (vertex, preds): the j-th vertex of the order
-    and the sorted positions a class receiving it may hold before, 0 and
-    the positions of its in-neighbors."""
-    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
-    return [
-        (v, [0, *sorted(pos[u] for u in orientation.in_neighbors(v))])
-        for v in orientation.order
-    ]
-
-
-def state_table(instance: Instance, layers: list, space) -> dict:
-    """The finished table of every state over `layers`
-    (`predecessor_layers`), built one `layer_step` a layer. Cells are
-    finalized by `space`, except packed ones (`_packs_ints`)."""
-    table = {(0,) * space.k: space.zero()}
-    rows = [{} for _ in range(space.k)]
-    index_cells(rows, table.items(), len(layers) + 1, _packs_ints(space))
-    for j, (v, preds) in enumerate(layers, start=1):
-        profits = [instance.profit(s, v) for s in range(space.k)]
-        layer_step(table, j, preds, profits, space, rows)
-    return table
-
-
-def start_key(table: dict, profile):
-    """Smallest key of `table` whose cell holds `profile`, or None.
-
-    Packed cells, which all share one shape, test the profile's bit,
-    packed once; other cells test membership."""
-    first = next(iter(table.values()))
-    if isinstance(first, ProfileSet) and first._bits is not None:
-        idx = first.packed_index(profile)
-        if idx is None:
-            return None
-        return min((key for key, cell in table.items() if cell._bits >> idx & 1), default=None)
-    return min((key for key, cell in table.items() if profile in cell), default=None)
-
-
-def walk_back(instance: Instance, layers: list, table: dict):
-    """Witness recovery over a finished `table`: profile -> coloring.
-
-    A profile is traced from the smallest state key holding it. A state
-    whose largest position j sits in class s was built from states with
-    that entry replaced by a predecessor position of the j-th vertex
-    (`layers[j - 1]`), by adding its profit to class s; the walk takes
-    the smallest such position whose state holds the reduced profile.
-    """
+    def taken(prev, key, p, i):
+        """(class, source, reduced profile) of the step that puts the
+        i-th vertex in a class, from `prev` to `key` with profile p."""
+        v = order[i]
+        for c, off in enumerate(offsets):
+            spread = laters[i] << off
+            if spread >> 1 & ~key:
+                continue  # the key's mask lacks a later neighbor of v
+            reduced = p[:c] + (p[c] - instance.profit(c, v),) + p[c + 1 :]
+            sources = [
+                s
+                for s, cell in prev.items()
+                if not s >> off & 1 and (s | spread) >> 1 & keep == key and holds(cell, reduced)
+            ]
+            if sources:
+                return c, min(sources), reduced
+        raise AssertionError(f"no source for {p} at vertex {v}")
 
     def witness(profile):
-        key = start_key(table, profile)
-        if key is None:
+        p = tuple(profile)
+        if p not in result:
             raise KeyError(profile)
-        p = list(profile)
-        coloring = [[] for _ in range(instance.k)]
-        while any(key):
-            j = max(key)
-            s = key.index(j)
-            v, preds = layers[j - 1]
-            coloring[s].append(v)
-            p[s] -= instance.profit(s, v)
-            reduced = tuple(p)
-            for i in preds:
-                source = key[:s] + (i,) + key[s + 1 :]
-                cell = table.get(source)
-                if cell is not None and reduced in cell:
-                    key = source
-                    break
-            else:
-                raise AssertionError(f"no source state for {profile} at {key}")
+        key = 0
+        coloring = [[] for _ in range(k)]
+        for i in range(len(order) - 1, -1, -1):
+            prev = tables[i]
+            skips = (key << 1 | low for low in lows)
+            source = next((s for s in skips if s in prev and holds(prev[s], p)), None)
+            if source is None:
+                c, source, p = taken(prev, key, p, i)
+                coloring[c].append(order[i])
+            key = source
         return tuple(tuple(sorted(cls)) for cls in coloring)
 
-    return witness
+    result.traceback = witness
+    return result
 
 
 def solve_cocomparability(
     instance: Instance,
     *,
-    orientation: Orientation | None = None,
+    orientation=None,
     space=None,
     witnesses: bool = False,
     prune: bool = False,
@@ -192,21 +183,13 @@ def solve_cocomparability(
     Requires the conflict graph's complement to admit a transitive
     orientation; raises NotCocomparabilityError otherwise. Pass a
     precomputed `orientation` to skip recomputation across repeated
-    solves on the same graph.
-
-    States hold no witnesses: `witnesses=True` makes the returned set
-    trace a witness back through the final table when one is asked for.
-    Without a `space`, `prune` picks the space's policy. The returned
-    union is finalized by `space`, packed or not (cells follow
-    `state_table`); rounded sets are traced the same way.
+    solves on the same graph. The frontier DP runs over its linear
+    order. Without a `space`, `prune` picks the space's policy.
     """
     if orientation is None:
+        from .orientation import complement_orientation
+
         orientation = complement_orientation(instance.graph)
     if space is None:
         space = ProfileSpace.for_instance(instance, prune=prune)
-    layers = predecessor_layers(orientation)
-    table = state_table(instance, layers, space)
-    result = space.finalize(space.union(table.values()))
-    if witnesses:
-        result.traceback = walk_back(instance, layers, table)
-    return result
+    return solve_frontier(instance, orientation.order, space, witnesses)

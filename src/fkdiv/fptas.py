@@ -3,8 +3,9 @@
 Running any space-aware solver on a rounded space caps each class at
 O(n * log UB / eps) grid indices, n items and UB its largest total,
 while keeping true profiles alongside, so the reported value is always
-realizable; it is at least the optimum divided by 1+eps on the ordered
-and biconvex solvers and by r^D on the tree DP (below). States hold no
+realizable; it is at least the optimum divided by 1+eps on the
+frontier DP (the ordered and biconvex routes) and by r^D on the tree DP
+(below). States hold no
 witnesses: the solver walks the best truth back through its tables, by
 the rule it uses for exact sets. The accuracy parameter must arrive as an exact
 decimal string or Fraction; binary floats would silently change the
@@ -21,16 +22,16 @@ profile T at depth i when A >= T / r^i in every class.
   depth, as A + p >= (T + p) / r^i; the sum of two covers is a cover
   at the larger of their depths.
 - A cell build costs at most one factor r. Every collision in a build
-  compares truths at their own final keys (the ordered DP extends each
-  source before the fold, `RoundedProfileSpace.extended_union`, and the
-  biconvex DP folds its put sources already extended), so the truth
-  that keeps a cover's key is a cover one level deeper. A prune drops a
-  truth only for one at least as large in every class.
-- The ordered DP builds one cell per item of a coloring: an optimal
-  coloring with m <= n items ends in a cell holding a cover of its
-  profile at depth m. The final union keeps, per key, the truth with
-  the higher minimum, and its prune a truth at least as large, so the
-  value is at least opt / r^m >= opt / r^n >= opt / (1+eps).
+  compares truths at their own final keys (the frontier DP folds its
+  put sources already extended), so the truth that keeps a cover's key
+  is a cover one level deeper. A prune drops a truth only for one at
+  least as large in every class.
+- The frontier DP, on either route, has one layer per item and builds
+  each cell in one build from the layer before, so its last layer's
+  single cell holds a cover at depth n of every profile. The final
+  union keeps, per key, the truth with the higher minimum, and its
+  prune a truth at least as large, so the value is at least
+  opt / r^n >= opt / (1+eps).
 - In the tree DP a forget node extends and folds, and a join combines
   and re-rounds; each is one build, and an introduce node shares its
   child's cells. The root therefore holds a cover at depth D, the
@@ -38,15 +39,12 @@ profile T at depth i when A >= T / r^i in every class.
   nice decomposition, and the value is at least opt / r^D. The grid is
   sized by n and D may exceed n, so this bound may be weaker than
   1+eps.
-- The biconvex frontier DP has one layer per item and builds each cell
-  in one build from the layer before, so its last layer's single cell
-  holds a cover at depth n, and the value is at least
-  opt / r^n >= opt / (1+eps).
 
-`paired_rounding_check` checks the covering invariant on the ordered
-DP, cell by cell, against an exact run: each undominated exact profile
-T within r^m, m the fewest items of a coloring that reaches T in the
-cell, the depth the induction gives T.
+`paired_rounding_check` checks the covering invariant on the frontier
+DP over the cocomparability route's order, layer by layer and cell by
+cell, against an exact run: each undominated exact profile T within
+r^m, m the fewest items of a coloring that reaches T in the cell, which
+is at most the cell's layer and so at least as strict as the induction.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocomp import predecessor_layers, solve_cocomparability, state_table
+from .cocomp import frontier_tables, solve_cocomparability
 from .graphs import Instance
 from .orientation import complement_orientation
 from .profiles import ProfileSpace, undominated
@@ -147,56 +145,58 @@ def solve_approx(instance: Instance, epsilon, solver=solve_cocomparability) -> F
 
 
 def paired_rounding_check(instance: Instance, epsilon) -> dict:
-    """Run the ordered solver exactly and rounded, and check the rounding
-    cell by cell on the two finished tables.
+    """Run the frontier DP over the cocomparability route's order exactly
+    and rounded, and check the rounding cell by cell on each pair of
+    layer tables.
 
     The exact run counts items: every profit p becomes p * (n+1) + 1, so
     an entry q of its profiles splits into the class's exact total
-    q // (n+1) and its item count q % (n+1). Both tables must hold the
-    same state keys: the rounding never changes which cells exist, only
-    what each one holds. Each state is written once, at the layer j of
-    its largest position, and no later layer changes it, so a finished
-    cell is the cell that layer built. In each one, every state's key is
+    q // (n+1) and its item count q % (n+1). Both tables of a layer must
+    hold the same state keys: the rounding never changes which cells
+    exist, only what each one holds. In each cell, every state's key is
     `grid.round_profile` of its truth, which puts the truth in
     [r^key, r^(key+1)) and the sentinel exactly at zero; every truth is
     in the exact cell; and every undominated exact profile T of the cell
     has a truth A with A * num^m >= T * 2^(Bm) in every class, where m
-    is the fewest items of any coloring that reaches T in the cell: the
-    covering invariant of the bound above, at the depth the induction
-    gives T. The exact run keeps every profile, and the rounded one
-    prunes, as in `solve_approx`. Returns counters of everything checked.
+    is the fewest items of any coloring that reaches T in the cell. The
+    exact run keeps every profile, and the rounded one prunes, as in
+    `solve_approx`. Returns counters of everything checked.
     """
     eps = parse_epsilon(epsilon)
     grid = RoundingGrid.for_instance(instance, eps)
-    layers = predecessor_layers(complement_orientation(instance.graph))
+    order = complement_orientation(instance.graph).order
     base = instance.n + 1
     counted = instance.with_profits([[p * base + 1 for p in row] for row in instance.profits])
 
-    exact_table = state_table(counted, layers, ProfileSpace.for_instance(counted))
-    rounded_table = state_table(instance, layers, RoundedProfileSpace(instance.k, grid))
-    if exact_table.keys() != rounded_table.keys():
-        j = min(map(max, exact_table.keys() ^ rounded_table.keys()))
-        raise AssertionError(f"layer {j}: exact and rounded state keys differ")
-    entries = 0
-    for key, states in rounded_table.items():
-        j = max(key)
-        fewest = {}  # exact profile of the cell -> fewest items reaching it
-        for counts in exact_table[key].profiles():
-            t = tuple(q // base for q in counts)
-            m = sum(q % base for q in counts)
-            fewest[t] = min(fewest.get(t, m), m)
-        for idx_key, true in states.keyed():
-            entries += 1
-            if idx_key != grid.round_profile(true):
-                raise AssertionError(
-                    f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
-                )
-            if true not in fewest:
-                raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
-        truths = states.profiles()
-        for t in undominated(fewest, instance.k):
-            m = fewest[t]
-            gain, loss = grid.num**m, 1 << B * m
-            if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
-                raise AssertionError(f"layer {j} cell {key}: no truth covers {t} within r^{m}")
-    return {"layers": len(layers) + 1, "cells": len(rounded_table), "entries": entries}
+    exact_space = ProfileSpace.for_instance(counted)
+    exact_tables = frontier_tables(counted, order, exact_space)
+    rounded_tables = frontier_tables(instance, order, RoundedProfileSpace(instance.k, grid))
+    cells = entries = 0
+    for j, (exact_table, rounded_table) in enumerate(zip(exact_tables, rounded_tables)):
+        if exact_table.keys() != rounded_table.keys():
+            raise AssertionError(f"layer {j}: exact and rounded state keys differ")
+        cells += len(rounded_table)
+        for key, states in rounded_table.items():
+            exact = exact_table[key]
+            if type(exact) is int:  # a packed cell's bitmap
+                exact = exact_space.from_bits(exact)
+            fewest = {}  # exact profile of the cell -> fewest items reaching it
+            for counts in exact.profiles():
+                t = tuple(q // base for q in counts)
+                m = sum(q % base for q in counts)
+                fewest[t] = min(fewest.get(t, m), m)
+            for idx_key, true in states.keyed():
+                entries += 1
+                if idx_key != grid.round_profile(true):
+                    raise AssertionError(
+                        f"layer {j} cell {key}: key {idx_key} is not the grid index of {true}"
+                    )
+                if true not in fewest:
+                    raise AssertionError(f"layer {j} cell {key}: truth {true} is unreachable")
+            truths = states.profiles()
+            for t in undominated(fewest, instance.k):
+                m = fewest[t]
+                gain, loss = grid.num**m, 1 << B * m
+                if not any(all(a * gain >= q * loss for a, q in zip(got, t)) for got in truths):
+                    raise AssertionError(f"layer {j} cell {key}: no truth covers {t} within r^{m}")
+    return {"layers": len(rounded_tables), "cells": cells, "entries": entries}

@@ -128,7 +128,8 @@ def transitive_orientation(graph: Graph) -> Orientation:
 
 
 def complement_orientation(graph: Graph) -> Orientation:
-    """Transitive orientation of the complement, for the ordered solver."""
+    """Transitive orientation of the complement, whose linear order the
+    cocomparability solver runs over."""
     try:
         return transitive_orientation(graph.complement())
     except NotComparabilityError as exc:

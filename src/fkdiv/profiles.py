@@ -375,24 +375,11 @@ class ProfileSpace:
                 profiles |= cell._set
         return out
 
-    def extended_union(self, cells, cls0: int, amount: int) -> ProfileSet:
-        """`union(cells)` with `amount` added at class cls0 of every
-        profile: one union, then one extension."""
-        return self.union(cells).extended(cls0, amount)
-
-    def extended_bits(self, bits: int, cls0: int, amount: int) -> ProfileSet:
-        """A packed set of this space's shape holding the bitmap `bits`
-        with `amount` added at class cls0 of every profile: `extended`
-        on a bare bitmap, with no set built in between. Built here rather
-        than by `_blank`, since the ordered DP makes one per target."""
-        shape = self._shape
-        out = ProfileSet.__new__(ProfileSet)
-        out.k = shape.k
-        out.qbound = shape.qbound
-        out.traceback = None
-        out._weights = shape._weights
-        out._set = None
-        out._bits = bits << amount * shape._weights[cls0]
+    def from_bits(self, bits: int) -> ProfileSet:
+        """A packed set of this space's shape holding the bitmap `bits`,
+        the form of a packed cell in the frontier DP's tables."""
+        out = self.empty()
+        out._bits = bits
         return out
 
     def finalize(self, pset):

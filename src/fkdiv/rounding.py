@@ -230,13 +230,5 @@ class RoundedProfileSpace:
             out.union_update(cell)
         return out
 
-    def extended_union(self, cells, cls0: int, amount: int) -> RoundedStateSet:
-        """`union(cells)` with `amount` added at class cls0 of every
-        truth. Each cell is extended before the fold, so that every
-        collision compares extended truths at their own keys; a fold
-        first could keep a truth whose extension lands on another key,
-        a second factor r in one build (see `fptas.py`)."""
-        return self.union([cell.extended(cls0, amount) for cell in cells])
-
     def finalize(self, state_set):
         return state_set.prune_dominated()

@@ -16,7 +16,7 @@ from fkdiv.decomposition import is_chordal
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.instance_io import ParsedInstance
-from fkdiv.orientation import is_cocomparability
+from fkdiv.orientation import complement_orientation, is_cocomparability
 from fkdiv.profiles import check_coloring, profile_of
 from fkdiv.treedp import solve_chordal, solve_treewidth
 
@@ -201,6 +201,49 @@ def nice_occurrences_connected(nice) -> None:
             if p is None or p not in holding_set:
                 tops.append(i)
         assert len(tops) == 1, f"vertex {v} occurrences split into {len(tops)} blocks"
+
+
+def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space):
+    """The layer step before the row index, frozen: every class scans
+    every state key for a predecessor position, and each source feeding
+    a target is extended and folded into it. Exact sets give the same
+    cell as a union extended once; rounded ones collide only at the
+    extended truths' own keys."""
+    k = space.k
+    accum = [dict() for _ in range(k)]
+    for key, cell in table.items():
+        for s in range(k):
+            if key[s] in pred_positions:
+                target = key[:s] + (j,) + key[s + 1 :]
+                acc = accum[s].get(target)
+                if acc is None:
+                    acc = space.empty()
+                    accum[s][target] = acc
+                acc.union_update(cell.extended(s, vertex_profits[s]))
+    for s in range(k):
+        for target, acc in accum[s].items():
+            table[target] = space.finalize(acc)
+
+
+def reference_table(instance, orientation, space):
+    """The final table of the frozen layer loop."""
+    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
+    table = {(0,) * space.k: space.zero()}
+    for j, v in enumerate(orientation.order, start=1):
+        preds = {0}
+        preds.update(pos[u] for u in orientation.in_neighbors(v))
+        profits = [instance.profit(s, v) for s in range(instance.k)]
+        reference_layer_step(table, j, v, preds, profits, space)
+    return table
+
+
+def reference_union(instance, space, table_space=None):
+    """The union of the frozen layer loop's cells over the complement's
+    orientation, built in `table_space` (default `space`) and finalized
+    by `space`: an oracle that shares no code with the frontier DP."""
+    orientation = complement_orientation(instance.graph)
+    table = reference_table(instance, orientation, table_space or space)
+    return space.finalize(space.union(table.values()))
 
 
 def random_instance(rng: random.Random, n: int, k: int, cap: int, density: float):

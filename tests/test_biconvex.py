@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import assert_witnesses
+from conftest import assert_witnesses, reference_union
 from fkdiv import cli
 from fkdiv.biconvex import solve_biconvex
 from fkdiv.bipartite import verify_biconvex_ordering
@@ -16,7 +16,7 @@ from fkdiv.graphs import Graph, Instance, iter_bits
 from fkdiv.instance_io import ParsedInstance, serialize_instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import is_cocomparability
-from fkdiv.profiles import uses_bitset
+from fkdiv.profiles import ProfileSpace, uses_bitset
 from fkdiv.treedp import solve_treewidth
 
 
@@ -105,13 +105,16 @@ def test_middle_solves_prune_only_set_mode_cells(scale):
 
 @pytest.mark.parametrize("n,k,max_profit", [(30, 2, 9), (40, 2, 9), (60, 2, 9), (16, 3, 3), (24, 3, 3)])
 def test_pruned_sets_equal_the_ordered_dp(n, k, max_profit):
-    """The `biconvex` family is cocomparability too, so the two exact
-    routes must keep the same undominated profiles."""
+    """The `biconvex` family is cocomparability too, so the biconvex
+    route must keep the undominated profiles of the frozen ordered loop
+    (`conftest.reference_table`), which shares no code with the frontier
+    DP that both routes now run."""
     for seed in range(3):
         parsed = build_family("biconvex", n, k, max_profit, seed)
         inst = parsed.instance
+        space = ProfileSpace.for_instance(inst, prune=True)
         ps = solve_biconvex(inst, parsed.order_a, parsed.order_b, witnesses=True, prune=True)
-        assert ps.profiles() == solve_cocomparability(inst, prune=True).profiles(), seed
+        assert ps.profiles() == reference_union(inst, space).profiles(), seed
         assert_witnesses(inst, ps)
 
 
@@ -161,8 +164,8 @@ def connected(g) -> bool:
 def biconvex_off_cocomparability(rng, count):
     """`count` (graph, order_a, order_b): connected bipartite graphs with
     sides of 3-5 vertices and biconvex orderings, none of them a
-    cocomparability graph, so the ordered DP does not apply to the whole
-    graph. The generator's biconvex family never draws one."""
+    cocomparability graph, so the cocomparability route does not apply
+    to the whole graph. The generator's biconvex family never draws one."""
     found = []
     while len(found) < count:
         a, b = rng.randint(3, 5), rng.randint(3, 5)

@@ -5,9 +5,10 @@ from unittest.mock import patch
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_witnesses, random_instance
+from conftest import assert_witnesses, random_instance, reference_union
 import fkdiv.cocomp as cocomp
-from fkdiv.cocomp import predecessor_layers, solve_cocomparability, start_key, state_table
+from fkdiv.biconvex import solve_biconvex
+from fkdiv.cocomp import frontier_tables, solve_cocomparability
 from fkdiv.fptas import solve_approx
 from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
@@ -127,9 +128,9 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
 
     def stepping(table, *args):
         before = len(prunes)
-        step(table, *args)
+        tables.append(step(table, *args))
         layer_prunes.append(len(prunes) - before)
-        tables.append(table)
+        return tables[-1]
 
     monkeypatch.setattr(ProfileSet, "prune_dominated", counting)
     monkeypatch.setattr(cocomp, "layer_step", stepping)
@@ -137,50 +138,14 @@ def test_default_solve_keeps_bitset_cells_and_copies_no_coloring(monkeypatch):
     # The layers prune no packed cell; only the final union is pruned.
     assert layer_prunes == [0] * inst.n and len(prunes) == 1
     assert_witnesses(inst, ps, limit=0)
-    assert len(tables[-1]) > 1
-    assert all(cell._bits is not None for cell in tables[-1].values())
-    layers = predecessor_layers(complement_orientation(inst.graph))
+    assert max(map(len, tables)) > 1
+    assert all(type(cell) is int for table in tables for cell in table.values())
+    order = complement_orientation(inst.graph).order
     pruning, exact = (
-        state_table(inst, layers, ProfileSpace.for_instance(inst, prune=p)) for p in (True, False)
+        frontier_tables(inst, order, ProfileSpace.for_instance(inst, prune=p)) for p in (True, False)
     )
-    assert {key: cell._bits for key, cell in pruning.items()} == {
-        key: cell._bits for key, cell in exact.items()
-    }
+    assert pruning == exact
     assert len(prunes) == 1
-
-
-def reference_layer_step(table, j, vertex, pred_positions, vertex_profits, space):
-    """The layer step before the row index, frozen: every class scans
-    every state key for a predecessor position, and each source feeding
-    a target is extended and folded into it. Exact sets give the same
-    cell as a union extended once; rounded ones collide only at the
-    extended truths' own keys."""
-    k = space.k
-    accum = [dict() for _ in range(k)]
-    for key, cell in table.items():
-        for s in range(k):
-            if key[s] in pred_positions:
-                target = key[:s] + (j,) + key[s + 1 :]
-                acc = accum[s].get(target)
-                if acc is None:
-                    acc = space.empty()
-                    accum[s][target] = acc
-                acc.union_update(cell.extended(s, vertex_profits[s]))
-    for s in range(k):
-        for target, acc in accum[s].items():
-            table[target] = space.finalize(acc)
-
-
-def reference_table(instance, orientation, space):
-    """The final table of the frozen layer loop."""
-    pos = {v: i + 1 for i, v in enumerate(orientation.order)}
-    table = {(0,) * space.k: space.zero()}
-    for j, v in enumerate(orientation.order, start=1):
-        preds = {0}
-        preds.update(pos[u] for u in orientation.in_neighbors(v))
-        profits = [instance.profit(s, v) for s in range(instance.k)]
-        reference_layer_step(table, j, v, preds, profits, space)
-    return table
 
 
 def reference_space(kind, inst, rng):
@@ -198,30 +163,36 @@ def reference_space(kind, inst, rng):
     return inst, ProfileSpace.for_instance(inst, prune=kind == "pruned")
 
 
+# P4 and a triangle: the complement joins their complements, so it is
+# transitively orientable.
+TWO_COMPONENTS = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from(["bitset", "sets", "pruned", "rounded"]),
+    st.sampled_from(["bitset", "sets", "pruned"]),
+    st.sampled_from(["permutation", "interval", "edgeless", "two-component"]),
 )
-def test_row_index_builds_the_reference_tables(seed, kind):
+def test_final_set_equals_the_reference_union(seed, kind, family):
+    """The frontier DP's final set against the union of the frozen
+    ordered loop's cells, finalized by the same space, on packed,
+    set-mode and pruned set-mode spaces at k 1-3."""
     rng = random.Random(seed)
-    n, k = rng.randint(1, 9), rng.randint(1, 3)
-    inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
-    assume(is_cocomparability(inst.graph))
+    k = rng.randint(1, 3)
+    if family == "two-component":
+        rows = [[rng.randint(0, 5) for _ in range(TWO_COMPONENTS.n)] for _ in range(k)]
+        inst = Instance(TWO_COMPONENTS, rows)
+    else:
+        inst = build_family(family, rng.randint(1, 9), k, 5, seed).instance
     inst, space = reference_space(kind, inst, rng)
-    orientation = complement_orientation(inst.graph)
-    want = reference_table(inst, orientation, space)
-    got = state_table(inst, predecessor_layers(orientation), space)
-    assert got.keys() == want.keys()
-    for key, cell in want.items():
-        assert got[key].profiles() == cell.profiles(), key
-        if kind == "rounded":
-            assert got[key].keyed() == cell.keyed(), key
+    got = solve_cocomparability(inst, space=space)
+    assert got.profiles() == reference_union(inst, space).profiles()
 
 
 def complete_instance(rng, n, k, cap):
-    """K_n: its complement has no arcs, so every vertex's only
-    predecessor position is 0."""
+    """K_n: every vertex's later neighbors are all later vertices, so
+    each class takes at most one vertex."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rows = [[rng.randint(0, cap) for _ in range(n)] for _ in range(k)]
     return Instance(Graph(n, edges), rows)
@@ -233,10 +204,9 @@ def complete_instance(rng, n, k, cap):
     st.sampled_from(["permutation", "interval", "complete"]),
 )
 def test_packed_gather_builds_the_reference_tables_at_larger_n(seed, family):
-    """Packed exact tables for k 1-3 and n up to 40, against the frozen
-    loop. Profits stay small enough for every k to pack. The first
-    vertex of every order has no in-neighbor, and K_n has none at all,
-    so the lone-predecessor pick runs on every example."""
+    """Packed exact final sets for k 1-3 and n up to 40, pruned or not,
+    against the union of the frozen loop's unpruned cells. Profits stay
+    small enough for every k to pack."""
     rng = random.Random(seed)
     k = rng.randint(1, 3)
     n = rng.randint(1, 40)
@@ -246,39 +216,40 @@ def test_packed_gather_builds_the_reference_tables_at_larger_n(seed, family):
     else:
         inst = build_family(family, n, k, cap, seed).instance
     assert uses_bitset(inst.k, inst.qbound)
-    orientation = complement_orientation(inst.graph)
-    lone = [v for v in orientation.order if not orientation.in_neighbors(v)]
-    assert lone[0] == orientation.order[0]
-    if family == "complete":
-        assert len(lone) == n
     space = ProfileSpace.for_instance(inst, prune=rng.random() < 0.5)
-    want = reference_table(inst, orientation, ProfileSpace.for_instance(inst))
-    got = state_table(inst, predecessor_layers(orientation), space)
-    assert got.keys() == want.keys()
-    for key, cell in want.items():
-        assert got[key]._bits == cell._bits, key
+    want = reference_union(inst, space, ProfileSpace.for_instance(inst))
+    assert solve_cocomparability(inst, space=space)._bits == want._bits
 
 
 def test_layer_step_runs_once_per_layer_through_the_module_global(monkeypatch):
-    """A wrapper on `cocomp.layer_step` sees every layer, and reads the
-    table from the first argument after each call, as a tracer would."""
+    """A wrapper on `cocomp.layer_step` sees one call per vertex on the
+    exact cocomparability route, on `solve_approx` and on
+    `solve_biconvex`, each with the table the call before it returned as
+    its first argument, as a tracer reads it."""
     inst = build_family("permutation", 12, 2, 3, 7).instance
+    parsed = build_family("biconvex", 12, 2, 3, 7)
     assert uses_bitset(inst.k, inst.qbound)
     calls = []
     step = cocomp.layer_step
 
-    def counting(*args):
-        step(*args)
-        calls.append(len(args[0]))
+    def recording(table, *args):
+        calls.append((table, step(table, *args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(cocomp, "layer_step", counting)
-    solve_cocomparability(inst, witnesses=True, prune=True).best()
-    assert len(calls) == inst.graph.n
-    assert calls == sorted(calls) and calls[-1] > 1
-    calls.clear()
-    solve_approx(inst, Fraction(1, 2))
-    assert len(calls) == inst.graph.n
-    assert calls[-1] > 1
+    monkeypatch.setattr(cocomp, "layer_step", recording)
+    for solve in (
+        lambda: solve_cocomparability(inst, witnesses=True, prune=True).best(),
+        lambda: solve_approx(inst, Fraction(1, 2)),
+        lambda: solve_biconvex(
+            parsed.instance, parsed.order_a, parsed.order_b, witnesses=True, prune=True
+        ).best(),
+    ):
+        calls.clear()
+        solve()
+        assert len(calls) == 12
+        assert len(calls[0][0]) == 1
+        assert all(table is made for (_, made), (table, _) in zip(calls, calls[1:]))
+        assert max(len(table) for table, _ in calls) > 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,65 +259,31 @@ def test_layer_step_runs_once_per_layer_through_the_module_global(monkeypatch):
     st.sampled_from(["permutation", "interval"]),
 )
 def test_no_layer_changes_an_earlier_layers_state(seed, kind, family):
-    """Every state keeps the cell object its layer wrote, holding what it
-    held then, so a check of the finished table checks every layer as it
-    was built. A wrapper on `cocomp.layer_step` records each new key's
-    cell and its profiles (its keyed truths when rounded)."""
+    """Every kept layer table is the table its layer returned, holding
+    the same cell objects with what they held then, so the walk-back and
+    `paired_rounding_check` read each layer as it was built. A wrapper on
+    `cocomp.layer_step` records each returned table, its cells and their
+    contents (keyed truths when rounded, the bitmap when packed)."""
     rng = random.Random(seed)
     inst = build_family(family, rng.randint(1, 9), rng.randint(1, 3), 5, seed).instance
     inst, space = reference_space(kind, inst, rng)
-    written = {}
+    written = []
     step = cocomp.layer_step
 
     def contents(cell):
-        return getattr(cell, "keyed", cell.profiles)()
-
-    def record(table):
-        for key, cell in table.items():
-            if key not in written:
-                written[key] = cell, contents(cell)
+        return cell if type(cell) is int else getattr(cell, "keyed", cell.profiles)()
 
     def recording(table, *args):
-        record(table)
-        step(table, *args)
-        record(table)
+        made = step(table, *args)
+        written.append((made, dict(made), {key: contents(cell) for key, cell in made.items()}))
+        return made
 
-    layers = predecessor_layers(complement_orientation(inst.graph))
+    order = complement_orientation(inst.graph).order
     with patch.object(cocomp, "layer_step", recording):
-        table = state_table(inst, layers, space)
-    assert written.keys() == table.keys()
-    for key, (cell, held) in written.items():
-        assert table[key] is cell, key
-        assert contents(cell) == held, key
-
-
-def frozen_start_key(table, profile):
-    """The walk-back's first scan as it stood: every cell asked for the
-    profile through its generic membership test."""
-    return min((key for key, cell in table.items() if profile in cell), default=None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_start_key_matches_frozen_scan(seed):
-    """The smallest key holding a profile, for every profile of the final
-    table and for profiles no cell holds: entries one past qbound or
-    below zero, another arity, and a lowered or raised entry. Only packed
-    tables take their own scan; on other tables `start_key` is the frozen
-    scan, and the witness checks of set-mode and rounded solves cover it."""
-    rng = random.Random(seed)
-    n, k = rng.randint(1, 9), rng.randint(1, 3)
-    inst = random_instance(rng, n, k, 5, rng.uniform(0.3, 0.8))
-    assume(is_cocomparability(inst.graph))
-    inst, space = reference_space("bitset", inst, rng)
-    table = state_table(inst, predecessor_layers(complement_orientation(inst.graph)), space)
-    profiles = space.union(table.values()).profiles()
-    probes = list(profiles)
-    for p in profiles:
-        s = rng.randrange(k)
-        probes += [
-            p[:s] + (p[s] + d,) + p[s + 1 :] for d in (-1, 1, inst.qbound + 1 - p[s])
-        ]
-        probes += [p + (0,), p[:-1], list(p)]
-    for p in probes:
-        assert start_key(table, p) == frozen_start_key(table, p), p
+        tables = frontier_tables(inst, order, space)
+    assert len(written) == inst.n == len(tables) - 1
+    for table, (made, cells, held) in zip(tables[1:], written):
+        assert table is made and table.keys() == cells.keys()
+        for key, cell in cells.items():
+            assert table[key] is cell, key
+            assert contents(cell) == held[key], key

@@ -562,15 +562,9 @@ def solve_in_process(capsys, path, *args):
 
 
 # Modules that no solve below runs, nor needs to load.
-NOT_LOADED_BY_SOLVE = (
-    "dataclasses",
-    "inspect",
-    "fkdiv.biconvex",
-    "fkdiv.bipartite",
-    "fkdiv.oracle",
-    "fkdiv.generators",
-)
+NOT_LOADED_BY_SOLVE = ("dataclasses", "inspect", "fkdiv.oracle", "fkdiv.generators")
 FPTAS_MODULES = ("fkdiv.fptas", "fkdiv.rounding", "fractions")
+BICONVEX_MODULES = ("fkdiv.biconvex", "fkdiv.bipartite")
 
 
 @pytest.mark.parametrize(
@@ -581,24 +575,31 @@ FPTAS_MODULES = ("fkdiv.fptas", "fkdiv.rounding", "fractions")
             (),
             "cocomp",
             "fkdiv.cocomp",
-            ("fkdiv.treedp", "fkdiv.decomposition", "decimal", *FPTAS_MODULES),
+            ("fkdiv.treedp", "fkdiv.decomposition", "decimal", *FPTAS_MODULES, *BICONVEX_MODULES),
         ),
         (
             "permutation",
             ("--epsilon", "1/2"),
             "cocomp",
             "fkdiv.fptas",
-            ("fkdiv.treedp", "fkdiv.decomposition"),
+            ("fkdiv.treedp", "fkdiv.decomposition", *BICONVEX_MODULES),
         ),
         (
             "interval",
             (),
             "chordal",
             "fkdiv.treedp",
-            ("fkdiv.cocomp", "fkdiv.orientation", *FPTAS_MODULES),
+            ("fkdiv.cocomp", "fkdiv.orientation", *FPTAS_MODULES, *BICONVEX_MODULES),
+        ),
+        (
+            "biconvex",
+            ("--algo", "biconvex"),
+            "biconvex",
+            "fkdiv.cocomp",
+            ("fkdiv.orientation", "fkdiv.treedp", "fkdiv.decomposition", *FPTAS_MODULES),
         ),
     ],
-    ids=["exact", "epsilon", "chordal"],
+    ids=["exact", "epsilon", "chordal", "biconvex"],
 )
 def test_cli_solve_loads_only_its_route(tmp_path, family, extra, algo, home, skipped):
     path = write_family(tmp_path, family, 10, 0)

@@ -71,7 +71,7 @@ CASES = [
     ),
     (
         "permutation", 9, 2, 9, 1, ("--no-prune",), "cocomp",
-        "04e813367b8726735564eeda60a965e1287eeb7dfd4272aaa5d6ad9c9d3e767d",
+        "e3756d8c7cd2848ad3398320840c25d0a7dbc531dab3a465ff4db48d7cb628c0",
     ),
     (
         "interval", 8, 2, 9, 0, ("--emit-profiles",), "chordal",
