@@ -1,11 +1,16 @@
 """Frontier dynamic program over a fixed vertex order.
 
 Vertices are taken one at a time. A state is, for each class, the mask
-of the later vertices adjacent to some member of the class, which that
-class may no longer take; each state holds the profiles of the partial
-colorings of the vertices so far that leave those masks. A vertex is
-either skipped, so every mask drops its bit, or put in a class whose
-mask lacks it, which adds the vertex's later neighbors to that mask.
+of the later vertices that are adjacent to some member of the class
+and have a positive profit in it, which that class may no longer take;
+each state holds the profiles of the partial colorings of the vertices
+so far that leave those masks. A vertex is either skipped, so every
+mask drops its bit, or put in a class where its profit is positive and
+whose mask lacks it, which adds its later neighbors with a positive
+profit there to that mask. A put where the profit is 0 is never made:
+the coloring that skips the vertex instead has the same profile and
+leaves every class free to take at least as much, so every profile is
+still reached, and no class needs to track a vertex it never takes.
 Each target cell is one union of its skip sources as they are and its
 put sources already extended, then one `space.finalize`: one build per
 layer, which is what the FPTAS bound in `fptas.py` counts. A target
@@ -25,16 +30,18 @@ The program is exact for any order; the order only bounds how many
 states a layer holds. `solve_cocomparability` takes the linear order of
 a transitive orientation of the complement. A class is then a chain of
 that order, and a later vertex adjacent to some member is adjacent to
-its latest one, so a class's mask is fixed by its latest vertex and a
+its latest one, so a class's mask is fixed by its latest vertex (that
+vertex's later neighbors with a positive profit in the class) and a
 layer holds at most (n+1)^k states. `biconvex.py` gives the order of
 its own route.
 
-Every layer's table is kept. With `witnesses`, a profile is walked back
-from the final state, last vertex first: the vertex is skipped if
+With `witnesses`, every layer's table is kept and a profile is walked
+back from the final state, last vertex first: the vertex is skipped if
 a state that skipping maps to the current one holds the profile (the
-smallest such state); otherwise it goes to the smallest class, then
-from the smallest state, whose cell holds the profile less its profit
-there.
+smallest such state); otherwise it goes to the smallest class where
+its profit is positive, then from the smallest state, whose cell holds
+the profile less its profit there. Without, only the current layer is
+kept.
 """
 
 from __future__ import annotations
@@ -57,57 +64,81 @@ def _fields(k: int, width: int):
     return offsets, sum(((1 << width - 1) - 1) << off for off in offsets)
 
 
-def layer_step(table: dict, later: int, profits, space, width: int) -> dict:
+def _puts(laters, profits, offsets, keep) -> list:
+    """(class, bit, spread, profit) for each class where the vertex's
+    profit is positive: a key without `bit`, the vertex's bit in the
+    class's field, may put it there, and the put goes to the skip
+    target `key >> 1 & keep` with `spread` added, as shift and mask
+    distribute over OR."""
+    return [
+        (c, 1 << off, laters[c] << off >> 1 & keep, profits[c])
+        for c, off in enumerate(offsets)
+        if profits[c]
+    ]
+
+
+def layer_step(table: dict, laters, profits, space, width: int) -> dict:
     """The next layer's table after one vertex. `table` maps keys, with
     bit 0 of each field standing for the vertex, to cells (bitmaps where
-    `_packs_ints`); `later` holds the vertex's later neighbors in the
-    same bits and `profits` its profit per class. Fields are `width`
-    bits wide."""
+    `_packs_ints`); `laters` holds, per class, the vertex's later
+    neighbors with a positive profit there in the same bits, and
+    `profits` its profit per class. Fields are `width` bits wide."""
     offsets, keep = _fields(space.k, width)
+    puts = _puts(laters, profits, offsets, keep)
     if _packs_ints(space):
         base = space.qbound + 1  # packed weight of class c: base^(k-1-c)
-        puts = [
-            (off, later << off, profits[c] * base ** (space.k - 1 - c))
-            for c, off in enumerate(offsets)
-        ]
+        shifts = [(bit, spread, p * base ** (space.k - 1 - c)) for c, bit, spread, p in puts]
         acc = {}
         get = acc.get
         for key, cell in table.items():
             rest = key >> 1 & keep
             acc[rest] = get(rest, 0) | cell
-            for off, spread, shift in puts:
-                if not key >> off & 1:
-                    target = (key | spread) >> 1 & keep
+            for bit, spread, shift in shifts:
+                if not key & bit:
+                    target = rest | spread
                     acc[target] = get(target, 0) | cell << shift
         return acc
     links = {}
     for key, cell in table.items():
-        links.setdefault(key >> 1 & keep, []).append(cell)
-        for c, off in enumerate(offsets):
-            if not key >> off & 1:
-                target = (key | later << off) >> 1 & keep
-                links.setdefault(target, []).append(cell.extended(c, profits[c]))
+        rest = key >> 1 & keep
+        links.setdefault(rest, []).append(cell)
+        for c, bit, spread, p in puts:
+            if not key & bit:
+                links.setdefault(rest | spread, []).append(cell.extended(c, p))
     return {
         target: cells[0] if len(cells) == 1 else space.finalize(space.union(cells))
         for target, cells in links.items()
     }
 
 
-def later_masks(graph, order) -> list:
-    """Per position i of `order`, its vertex's neighbors after it, bit
-    j - i standing for position j."""
+def later_masks(instance: Instance, order) -> list:
+    """Per position i of `order`, one mask per class of its vertex's
+    later neighbors with a positive profit in that class, bit j - i
+    standing for position j."""
     pos = {v: i for i, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in graph.neighbors(v)) >> i for i, v in enumerate(order)]
+    masks = []
+    for i, v in enumerate(order):
+        later = [(u, 1 << pos[u] - i) for u in instance.graph.neighbors(v) if pos[u] > i]
+        masks.append([sum(bit for u, bit in later if row[u]) for row in instance.profits])
+    return masks
 
 
-def frontier_tables(instance: Instance, order, space) -> list:
-    """The n + 1 layer tables over `order`, the first holding the zero
-    set at key 0, each next one built by one `layer_step`."""
+def frontier_tables(instance: Instance, order, space, laters=None, keep_all: bool = True) -> list:
+    """The layer tables over `order`, the first holding the zero set at
+    key 0, each next one built by one `layer_step` from `laters`
+    (default `later_masks`): all n + 1 of them, or without `keep_all`
+    only the last one."""
+    if laters is None:
+        laters = later_masks(instance, order)
     zero = space.zero()
     tables = [{0: zero._bits if _packs_ints(space) else zero}]
-    for v, later in zip(order, later_masks(instance.graph, order)):
+    for v, masks in zip(order, laters):
         profits = [instance.profit(c, v) for c in range(space.k)]
-        tables.append(layer_step(tables[-1], later, profits, space, len(order) + 1))
+        table = layer_step(tables[-1], masks, profits, space, len(order) + 1)
+        if keep_all:
+            tables.append(table)
+        else:
+            tables[-1] = table
     return tables
 
 
@@ -115,13 +146,14 @@ def solve_frontier(instance: Instance, order, space, witnesses: bool):
     """Profile set of the frontier DP over `order`, finalized by `space`;
     with `witnesses`, it walks a profile back by the rule in the module
     docstring."""
-    tables = frontier_tables(instance, order, space)
+    laters = later_masks(instance, order)
+    tables = frontier_tables(instance, order, space, laters, keep_all=witnesses)
     final = tables[-1][0]  # no mask is left after the last vertex
     packed = _packs_ints(space)
     result = space.finalize(space.from_bits(final) if packed else final)
     if not witnesses:
         return result
-    k, laters = instance.k, later_masks(instance.graph, order)
+    k = instance.k
     offsets, keep = _fields(k, len(order) + 1)
     # Bit 0 of any set of fields: a skip source of key t is t << 1 | low.
     lows = sorted(sum(1 << offsets[c] for c in range(k) if sub >> c & 1) for sub in range(1 << k))
@@ -136,15 +168,15 @@ def solve_frontier(instance: Instance, order, space, witnesses: bool):
         """(class, source, reduced profile) of the step that puts the
         i-th vertex in a class, from `prev` to `key` with profile p."""
         v = order[i]
-        for c, off in enumerate(offsets):
-            spread = laters[i] << off
-            if spread >> 1 & ~key:
+        profits = [instance.profit(c, v) for c in range(k)]
+        for c, bit, spread, profit in _puts(laters[i], profits, offsets, keep):
+            if spread & ~key:
                 continue  # the key's mask lacks a later neighbor of v
-            reduced = p[:c] + (p[c] - instance.profit(c, v),) + p[c + 1 :]
+            reduced = p[:c] + (p[c] - profit,) + p[c + 1 :]
             sources = [
                 s
                 for s, cell in prev.items()
-                if not s >> off & 1 and (s | spread) >> 1 & keep == key and holds(cell, reduced)
+                if not s & bit and (s >> 1 & keep | spread) == key and holds(cell, reduced)
             ]
             if sources:
                 return c, min(sources), reduced

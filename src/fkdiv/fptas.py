@@ -149,11 +149,15 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     and rounded, and check the rounding cell by cell on each pair of
     layer tables.
 
-    The exact run counts items: every profit p becomes p * (n+1) + 1, so
-    an entry q of its profiles splits into the class's exact total
-    q // (n+1) and its item count q % (n+1). Both tables of a layer must
-    hold the same state keys: the rounding never changes which cells
-    exist, only what each one holds. In each cell, every state's key is
+    The exact run counts items: every positive profit p becomes
+    p * (n+1) + 1 and a zero stays 0, so an entry q of its profiles
+    splits into the class's exact total q // (n+1) and its item count
+    q % (n+1). Zeros stay zeros because the DP never puts an item where
+    its profit is 0: the exact run then puts items where the rounded one
+    does, and both tables of a layer must hold the same state keys, as
+    the rounding never changes which cells exist, only what each one
+    holds. A coloring with the fewest items places none at profit 0, so
+    counting them would not change m below. In each cell, every state's key is
     `grid.round_profile` of its truth, which puts the truth in
     [r^key, r^(key+1)) and the sentinel exactly at zero; every truth is
     in the exact cell; and every undominated exact profile T of the cell
@@ -166,7 +170,9 @@ def paired_rounding_check(instance: Instance, epsilon) -> dict:
     grid = RoundingGrid.for_instance(instance, eps)
     order = complement_orientation(instance.graph).order
     base = instance.n + 1
-    counted = instance.with_profits([[p * base + 1 for p in row] for row in instance.profits])
+    counted = instance.with_profits(
+        [[p * base + 1 if p else 0 for p in row] for row in instance.profits]
+    )
 
     exact_space = ProfileSpace.for_instance(counted)
     exact_tables = frontier_tables(counted, order, exact_space)

@@ -14,7 +14,7 @@ from fkdiv.generators import build_family
 from fkdiv.graphs import Graph, Instance
 from fkdiv.oracle import brute_force
 from fkdiv.orientation import complement_orientation, is_cocomparability
-from fkdiv.profiles import ProfileSet, ProfileSpace, uses_bitset
+from fkdiv.profiles import BITSET_LIMIT, ProfileSet, ProfileSpace, uses_bitset
 from fkdiv.rounding import RoundedProfileSpace, RoundingGrid
 
 
@@ -190,6 +190,54 @@ def test_final_set_equals_the_reference_union(seed, kind, family):
     assert got.profiles() == reference_union(inst, space).profiles()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["bitset", "sets", "pruned"]),
+    st.sampled_from(["permutation", "interval", "edgeless"]),
+    st.sampled_from([0, 1, 2]),
+)
+def test_zero_heavy_final_set_equals_the_reference_union(seed, kind, family, cap):
+    """The frozen loop puts a vertex in every class its predecessors
+    allow, profit 0 or not; the frontier DP never puts one where its
+    profit is 0. Their final sets agree on max-profit 0-2 with one
+    vertex worth 0 to every class, on packed, set-mode (a space whose
+    bound is past the bitmap limit) and pruned set-mode spaces at k 1-3."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    inst = build_family(family, rng.randint(1, 9), k, cap, seed).instance
+    dead = rng.randrange(inst.n)
+    rows = [[0 if v == dead else p for v, p in enumerate(row)] for row in inst.profits]
+    inst = inst.with_profits(rows)
+    qbound = inst.qbound if kind == "bitset" else BITSET_LIMIT
+    space = ProfileSpace(k, qbound, prune=kind == "pruned")
+    got = solve_cocomparability(inst, space=space)
+    assert got.profiles() == reference_union(inst, space).profiles()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["permutation", "interval", "biconvex"]),
+    st.booleans(),
+)
+def test_no_witness_puts_a_vertex_where_its_profit_is_0(seed, family, prune):
+    """Every witness of both frontier routes, for every profile, is a
+    valid coloring that gives each vertex only to a class that values it
+    (max-profit 1-2, k 1-3)."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    parsed = build_family(family, rng.randint(1, 10), k, rng.randint(1, 2), seed)
+    inst = parsed.instance
+    if family == "biconvex":
+        ps = solve_biconvex(inst, parsed.order_a, parsed.order_b, witnesses=True, prune=prune)
+    else:
+        ps = solve_cocomparability(inst, witnesses=True, prune=prune)
+    assert_witnesses(inst, ps)
+    for _, witness in ps.items():
+        assert all(inst.profit(c, v) for c, cls in enumerate(witness) for v in cls), witness
+
+
 def complete_instance(rng, n, k, cap):
     """K_n: every vertex's later neighbors are all later vertices, so
     each class takes at most one vertex."""
@@ -250,6 +298,25 @@ def test_layer_step_runs_once_per_layer_through_the_module_global(monkeypatch):
         assert len(calls[0][0]) == 1
         assert all(table is made for (_, made), (table, _) in zip(calls, calls[1:]))
         assert max(len(table) for table, _ in calls) > 1
+
+
+def test_witness_free_solve_keeps_only_the_last_layer(monkeypatch):
+    """Without witnesses nothing walks the layers back, so the solve
+    keeps one table instead of n + 1, and it is the last one."""
+    inst = build_family("interval", 12, 2, 3, 7).instance
+    order = complement_orientation(inst.graph).order
+    tables = frontier_tables(inst, order, ProfileSpace.for_instance(inst))
+    kept = []
+    build = cocomp.frontier_tables
+
+    def recording(*args, **kwargs):
+        kept.append(build(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(cocomp, "frontier_tables", recording)
+    for witnesses in (False, True):
+        solve_cocomparability(inst, witnesses=witnesses)
+    assert kept == [tables[-1:], tables]
 
 
 @settings(max_examples=40, deadline=None)

@@ -222,6 +222,36 @@ def test_paired_check_catches_epsilon_scaling():
         assert stats["cells"] > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["permutation", "interval", "edgeless"]),
+    st.sampled_from(["1/2", "1", "2"]),
+)
+def test_paired_check_runs_clean_on_zero_heavy_profits(seed, family, eps):
+    """Max-profit 1-3 makes many profits 0, where neither run puts an item."""
+    rng = random.Random(seed)
+    inst = build_family(family, rng.randint(1, 9), rng.randint(1, 3), rng.randint(1, 3), seed).instance
+    assert paired_rounding_check(inst, eps)["layers"] == inst.n + 1
+
+
+def test_paired_check_fails_when_a_zero_profit_counts_an_item(monkeypatch):
+    """Counted as p * (n+1) + 1, a zero profit turns positive, so the
+    exact run makes puts the rounded one never makes and their layers
+    hold different keys."""
+    inst = build_family("permutation", 9, 2, 2, 1).instance
+    assert any(0 in row for row in inst.profits)
+    assert paired_rounding_check(inst, "1/2")["layers"] == inst.n + 1
+    with_profits = Instance.with_profits
+
+    def counting_zeros(self, rows):
+        return with_profits(self, [[q or 1 for q in row] for row in rows])
+
+    monkeypatch.setattr(Instance, "with_profits", counting_zeros)
+    with pytest.raises(AssertionError, match="exact and rounded state keys differ"):
+        paired_rounding_check(inst, "1/2")
+
+
 def reference_prune(states):
     """Frozen O(m^2) joint-dominance filter over {key: truth}: a state
     goes when another has a key and a truth at least as large in every
